@@ -31,6 +31,10 @@ namespace llmprism::stats {
 /// p-th percentile with linear interpolation, p in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
+/// percentile() without the copy: selects in place, so `xs` comes back
+/// reordered. Bit-identical to percentile() on the same values.
+[[nodiscard]] double percentile_in_place(std::span<double> xs, double p);
+
 /// Most frequent value of an integer sample; ties broken toward the smaller
 /// value, 0 for an empty range. Used for Mode(N_k) in Alg. 2.
 [[nodiscard]] std::int64_t mode(std::span<const std::int64_t> xs);

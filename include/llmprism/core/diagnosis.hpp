@@ -31,6 +31,8 @@
 
 namespace llmprism {
 
+class ThreadPool;
+
 /// Dispersion estimator for the k-sigma rule.
 ///  - kStddev: mean center, standard deviation (the classic 3-sigma rule
 ///    the paper cites, hardened by leave-one-out below);
@@ -116,6 +118,15 @@ struct SwitchConcurrencyAlert {
   TimeNs at = 0;                      ///< when the peak was reached
   std::size_t concurrent_flows = 0;   ///< distinct simultaneous DP flows
   std::size_t limit = 0;
+};
+
+/// Everything the cluster-wide switch-level stage produces (see
+/// Diagnoser::switch_level()).
+struct SwitchDiagnosis {
+  /// Per-switch average DP bandwidth (Gb/s), in switch-id order.
+  std::vector<std::pair<SwitchId, double>> bandwidth_gbps;
+  std::vector<SwitchBandwidthAlert> bandwidth_alerts;
+  std::vector<SwitchConcurrencyAlert> concurrency_alerts;
 };
 
 struct DiagnosisConfig {
@@ -225,6 +236,16 @@ class Diagnoser {
   [[nodiscard]] std::vector<SwitchConcurrencyAlert> switch_concurrency(
       const FlowView& dp_flows) const;
 
+  /// The whole switch-level dimension in one call: per_switch_bandwidth(),
+  /// switch_bandwidth() and switch_concurrency() over one shared per-switch
+  /// hop count, field-for-field equal to the three separate calls. Runs one
+  /// task per switch on `pool` (null = the plain sequential loop); every
+  /// switch owns a pre-sized result slot and results are compacted in
+  /// switch-id order, so the output is identical at any thread count.
+  [[nodiscard]] SwitchDiagnosis switch_level(const FlowView& dp_flows,
+                                             KSigmaStats* stats = nullptr,
+                                             ThreadPool* pool = nullptr) const;
+
   /// Helper: per-switch average DP bandwidth (Gb/s), for reporting (Fig. 5
   /// plots these series).
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
@@ -233,8 +254,6 @@ class Diagnoser {
   per_switch_bandwidth(const FlowView& dp_flows);
 
   /// Helper: per-switch p-th percentile of per-flow DP bandwidth (Gb/s).
-  [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
-  per_switch_bandwidth_percentile(const FlowTrace& dp_flows, double p);
   [[nodiscard]] static std::vector<std::pair<SwitchId, double>>
   per_switch_bandwidth_percentile(const FlowView& dp_flows, double p);
 

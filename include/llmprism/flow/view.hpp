@@ -214,6 +214,7 @@ class FlowColumns {
 
   /// K-way merge of sorted runs by FlowStartTimeLess, ties to the lower
   /// run index — columnar counterpart of FlowTrace::merge_sorted_runs.
+  /// A lone non-empty run is sorted and moved out rather than copied.
   [[nodiscard]] static FlowColumns merge_sorted_runs(
       std::vector<FlowColumns> runs);
 

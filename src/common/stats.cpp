@@ -36,21 +36,32 @@ double median_abs_deviation(std::span<const double> xs) {
   std::vector<double> deviations;
   deviations.reserve(xs.size());
   for (double x : xs) deviations.push_back(std::abs(x - m));
-  return median(deviations);
+  return percentile_in_place(deviations, 50.0);
 }
 
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 double percentile(std::span<const double> xs, double p) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  return percentile_in_place(copy, p);
+}
+
+double percentile_in_place(std::span<double> xs, double p) {
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
   p = std::clamp(p, 0.0, 100.0);
-  const double idx = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(idx));
   const auto hi = static_cast<std::size_t>(std::ceil(idx));
   const double frac = idx - std::floor(idx);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
+  // Selection, not a sort: after nth_element every element past `lo` is
+  // >= xs[lo], so the next order statistic is the minimum of that upper
+  // partition. Same two order statistics as a full sort, same expression.
+  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(xs.begin(), lo_it, xs.end());
+  const double lo_value = *lo_it;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(lo_it + 1, xs.end());
+  return lo_value + (hi_value - lo_value) * frac;
 }
 
 std::int64_t mode(std::span<const std::int64_t> xs) {

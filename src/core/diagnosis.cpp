@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "llmprism/common/stats.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -276,109 +277,197 @@ std::pair<std::uint32_t, bool> max_switch_id(const FlowView& v) {
   return {max_sw, true};
 }
 
+/// Per-switch CSR layout of a view's hops: the count and prefix-sum half
+/// of every switch kernel's gather, computed once per switch stage and
+/// shared. offsets[s] .. offsets[s + 1] is switch s's slice of a scatter
+/// buffer filled in flow order. The bandwidth kernels skip zero-duration
+/// flows (they have no bandwidth) while the concurrency sweep counts every
+/// flow, so one counting pass yields both layouts.
+struct SwitchHops {
+  std::size_t slots = 0;           ///< highest switch id + 1; 0 = no hops
+  std::vector<std::size_t> all;    ///< every flow's hops
+  std::vector<std::size_t> timed;  ///< hops of flows with duration > 0
+
+  explicit SwitchHops(const FlowView& v) {
+    const auto [max_sw, any] = max_switch_id(v);
+    if (!any) return;
+    slots = static_cast<std::size_t>(max_sw) + 1;
+    all.assign(slots + 1, 0);
+    timed.assign(slots + 1, 0);
+    // Per-flow hop iteration (not the raw hop column): a sliced view keeps
+    // absolute CSR offsets over the parent's hop storage.
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const bool has_bandwidth = v.duration_ns[i] > 0;
+      for (const std::uint32_t sw : v.switches(i)) {
+        ++all[sw + 1];
+        if (has_bandwidth) ++timed[sw + 1];
+      }
+    }
+    for (std::size_t s = 0; s < slots; ++s) {
+      all[s + 1] += all[s];
+      timed[s + 1] += timed[s];
+    }
+  }
+};
+
+/// Per-switch DP bandwidth statistics, in switch-id order over the
+/// switches that carried a flow with a duration: the mean into `means`
+/// and the p-th percentile into `percentiles` (either may be null). One
+/// task per switch on `pool`; each owns its slice of the sample buffer and
+/// its result slots, so the result cannot depend on the thread count.
+void switch_bandwidth_stats(
+    const FlowView& v, const SwitchHops& hops, double p, ThreadPool* pool,
+    std::vector<std::pair<SwitchId, double>>* means,
+    std::vector<std::pair<SwitchId, double>>* percentiles) {
+  if (hops.slots == 0) return;
+  std::vector<double> samples(hops.timed[hops.slots]);
+  {
+    std::vector<std::size_t> cursor(hops.timed.begin(), hops.timed.end() - 1);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (v.duration_ns[i] <= 0) continue;
+      const double bw = v.bandwidth_gbps(i);
+      for (const std::uint32_t sw : v.switches(i)) samples[cursor[sw]++] = bw;
+    }
+  }
+  std::vector<double> mean(means != nullptr ? hops.slots : 0);
+  std::vector<double> pct(percentiles != nullptr ? hops.slots : 0);
+  parallel_for(pool, hops.slots, [&](std::size_t sw) {
+    const std::span<double> values(samples.data() + hops.timed[sw],
+                                   hops.timed[sw + 1] - hops.timed[sw]);
+    if (values.empty()) return;
+    if (means != nullptr) {
+      // Summed in flow order, before selection reorders the slice: the
+      // same additions in the same order as a flow-order accumulation.
+      double sum = 0.0;
+      for (const double x : values) sum += x;
+      mean[sw] = sum / static_cast<double>(values.size());
+    }
+    if (percentiles != nullptr) {
+      pct[sw] = stats::percentile_in_place(values, p);
+    }
+  });
+  for (std::size_t sw = 0; sw < hops.slots; ++sw) {
+    if (hops.timed[sw] == hops.timed[sw + 1]) continue;
+    const SwitchId id(static_cast<std::uint32_t>(sw));
+    if (means != nullptr) means->emplace_back(id, mean[sw]);
+    if (percentiles != nullptr) percentiles->emplace_back(id, pct[sw]);
+  }
+}
+
+/// k-sigma (below) over the per-switch health scores.
+std::vector<SwitchBandwidthAlert> score_switch_health(
+    const std::vector<std::pair<SwitchId, double>>& per_switch,
+    const KSigmaConfig& ksigma, KSigmaStats* stats) {
+  std::vector<double> values;
+  values.reserve(per_switch.size());
+  for (const auto& [sw, bw] : per_switch) values.push_back(bw);
+
+  const ReferenceComputer refs(values, ksigma);
+  std::vector<SwitchBandwidthAlert> alerts;
+  for (const std::size_t i : ksigma_outliers_below(values, ksigma, stats)) {
+    const Reference r = refs.at(i);
+    SwitchBandwidthAlert a;
+    a.switch_id = per_switch[i].first;
+    a.bandwidth_gbps = values[i];
+    a.mean_gbps = r.mean;
+    a.threshold_gbps = r.mean - ksigma.k * r.sigma;
+    alerts.push_back(a);
+  }
+  return alerts;
+}
+
+/// Peak concurrent flows per switch, as alerts for the switches above
+/// `limit`, in switch-id order. Sweep line per switch over split
+/// start/end arrays: the CSR scatter preserves flow order, so on a
+/// time-sorted view each switch's start slice is born sorted and only the
+/// end slice needs sorting — half the sort volume of an interleaved
+/// (+1/-1) event list, on plain TimeNs instead of 16-byte event structs.
+/// One task per switch on `pool`, each owning its slices and its slot.
+std::vector<SwitchConcurrencyAlert> switch_concurrency_alerts(
+    const FlowView& v, const SwitchHops& hops, std::size_t limit,
+    ThreadPool* pool) {
+  if (hops.slots == 0) return {};
+  const std::vector<std::size_t>& offsets = hops.all;
+  std::vector<TimeNs> starts(offsets[hops.slots]);
+  std::vector<TimeNs> ends(offsets[hops.slots]);
+  {
+    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const TimeNs start = v.start_ns[i];
+      const TimeNs end = v.end_ns(i);
+      for (const std::uint32_t sw : v.switches(i)) {
+        starts[cursor[sw]] = start;
+        ends[cursor[sw]] = end;
+        ++cursor[sw];
+      }
+    }
+  }
+  struct Peak {
+    std::size_t flows = 0;
+    TimeNs at = 0;
+  };
+  std::vector<Peak> peaks(hops.slots);
+  parallel_for(pool, hops.slots, [&](std::size_t sw) {
+    const auto lo = static_cast<std::ptrdiff_t>(offsets[sw]);
+    const auto hi = static_cast<std::ptrdiff_t>(offsets[sw + 1]);
+    if (lo == hi) return;
+    if (!std::is_sorted(starts.begin() + lo, starts.begin() + hi)) {
+      std::sort(starts.begin() + lo, starts.begin() + hi);
+    }
+    std::sort(ends.begin() + lo, ends.begin() + hi);
+    // Two-pointer sweep, ends processed first at ties (a flow ending the
+    // instant another starts never overlaps it). Signed so a degenerate
+    // zero-duration flow (end == its own start) cannot wrap the count.
+    std::ptrdiff_t current = 0;
+    Peak& peak = peaks[sw];
+    std::ptrdiff_t e = lo;
+    for (std::ptrdiff_t s = lo; s < hi; ++s) {
+      while (e < hi && ends[e] <= starts[s]) {
+        --current;
+        ++e;
+      }
+      ++current;
+      if (current > 0 && static_cast<std::size_t>(current) > peak.flows) {
+        peak.flows = static_cast<std::size_t>(current);
+        peak.at = starts[s];
+      }
+    }
+  });
+  std::vector<SwitchConcurrencyAlert> alerts;
+  for (std::size_t sw = 0; sw < hops.slots; ++sw) {
+    if (peaks[sw].flows <= limit) continue;
+    SwitchConcurrencyAlert a;
+    a.switch_id = SwitchId(static_cast<std::uint32_t>(sw));
+    a.at = peaks[sw].at;
+    a.concurrent_flows = peaks[sw].flows;
+    a.limit = limit;
+    alerts.push_back(a);
+  }
+  return alerts;
+}
+
 }  // namespace
 
 std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
-    const FlowView& dp_flows) {
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  // Dense accumulation in flow order: per-switch sums see samples in the
-  // same order the AoS path fed its hash map, so the doubles are identical.
-  std::vector<double> sum(static_cast<std::size_t>(max_sw) + 1, 0.0);
-  std::vector<std::size_t> count(static_cast<std::size_t>(max_sw) + 1, 0);
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    if (dp_flows.duration_ns[i] <= 0) continue;
-    const double bw = dp_flows.bandwidth_gbps(i);
-    for (const std::uint32_t sw : dp_flows.switches(i)) {
-      sum[sw] += bw;
-      ++count[sw];
-    }
-  }
-  std::vector<std::pair<SwitchId, double>> out;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (count[sw] != 0) {
-      out.emplace_back(SwitchId(sw), sum[sw] / static_cast<double>(count[sw]));
-    }
-  }
-  return out;
+    const FlowTrace& dp_flows) {
+  const FlowColumns columns(dp_flows);
+  return per_switch_bandwidth(columns.view());
 }
 
 std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
-    const FlowTrace& dp_flows) {
-  struct Acc {
-    double bandwidth_sum = 0;
-    std::size_t count = 0;
-  };
-  std::unordered_map<SwitchId, Acc> acc;
-  for (const FlowRecord& f : dp_flows) {
-    if (f.duration <= 0) continue;
-    for (const SwitchId sw : f.switches) {
-      Acc& a = acc[sw];
-      a.bandwidth_sum += f.bandwidth_gbps();
-      ++a.count;
-    }
-  }
+    const FlowView& dp_flows) {
   std::vector<std::pair<SwitchId, double>> out;
-  out.reserve(acc.size());
-  for (const auto& [sw, a] : acc) {
-    out.emplace_back(sw, a.bandwidth_sum / static_cast<double>(a.count));
-  }
-  std::sort(out.begin(), out.end());
+  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows), 0.0, nullptr, &out,
+                         nullptr);
   return out;
 }
 
 std::vector<std::pair<SwitchId, double>>
 Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
                                            double p) {
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  // CSR sample gather: count per switch, prefix sum, scatter bandwidths.
-  // The percentile depends only on each switch's sample multiset, so the
-  // gather order cannot perturb the result.
-  const std::size_t slots = static_cast<std::size_t>(max_sw) + 1;
-  std::vector<std::size_t> counts(slots + 1, 0);
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    if (dp_flows.duration_ns[i] <= 0) continue;
-    for (const std::uint32_t sw : dp_flows.switches(i)) ++counts[sw + 1];
-  }
-  for (std::size_t s = 0; s < slots; ++s) counts[s + 1] += counts[s];
-  std::vector<double> samples(counts[slots]);
-  {
-    std::vector<std::size_t> cursor(counts.begin(), counts.end() - 1);
-    for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-      if (dp_flows.duration_ns[i] <= 0) continue;
-      const double bw = dp_flows.bandwidth_gbps(i);
-      for (const std::uint32_t sw : dp_flows.switches(i)) {
-        samples[cursor[sw]++] = bw;
-      }
-    }
-  }
   std::vector<std::pair<SwitchId, double>> out;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (counts[sw] == counts[sw + 1]) continue;
-    const std::span<const double> values(samples.data() + counts[sw],
-                                         counts[sw + 1] - counts[sw]);
-    out.emplace_back(SwitchId(sw), stats::percentile(values, p));
-  }
-  return out;
-}
-
-std::vector<std::pair<SwitchId, double>>
-Diagnoser::per_switch_bandwidth_percentile(const FlowTrace& dp_flows,
-                                           double p) {
-  std::unordered_map<SwitchId, std::vector<double>> samples;
-  for (const FlowRecord& f : dp_flows) {
-    if (f.duration <= 0) continue;
-    for (const SwitchId sw : f.switches) {
-      samples[sw].push_back(f.bandwidth_gbps());
-    }
-  }
-  std::vector<std::pair<SwitchId, double>> out;
-  out.reserve(samples.size());
-  for (const auto& [sw, values] : samples) {
-    out.emplace_back(sw, stats::percentile(values, p));
-  }
-  std::sort(out.begin(), out.end());
+  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows), p, nullptr, nullptr,
+                         &out);
   return out;
 }
 
@@ -390,25 +479,10 @@ std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
 
 std::vector<SwitchBandwidthAlert> Diagnoser::switch_bandwidth(
     const FlowView& dp_flows, KSigmaStats* stats) const {
-  const auto per_switch = per_switch_bandwidth_percentile(
-      dp_flows, config_.switch_health_percentile);
-  std::vector<double> values;
-  values.reserve(per_switch.size());
-  for (const auto& [sw, bw] : per_switch) values.push_back(bw);
-
-  const ReferenceComputer refs(values, config_.switch_ksigma);
-  std::vector<SwitchBandwidthAlert> alerts;
-  for (const std::size_t i :
-       ksigma_outliers_below(values, config_.switch_ksigma, stats)) {
-    const Reference r = refs.at(i);
-    SwitchBandwidthAlert a;
-    a.switch_id = per_switch[i].first;
-    a.bandwidth_gbps = values[i];
-    a.mean_gbps = r.mean;
-    a.threshold_gbps = r.mean - config_.switch_ksigma.k * r.sigma;
-    alerts.push_back(a);
-  }
-  return alerts;
+  return score_switch_health(
+      per_switch_bandwidth_percentile(dp_flows,
+                                      config_.switch_health_percentile),
+      config_.switch_ksigma, stats);
 }
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
@@ -419,72 +493,23 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
     const FlowView& dp_flows) const {
-  // Sweep line per switch over split start/end arrays: the CSR scatter
-  // preserves flow order, so on a time-sorted view each switch's start
-  // slice is born sorted and only the end slice needs sorting — half the
-  // sort volume of an interleaved (+1/-1) event list, on plain TimeNs
-  // instead of 16-byte event structs.
-  const auto [max_sw, any] = max_switch_id(dp_flows);
-  if (!any) return {};
-  const std::size_t slots = static_cast<std::size_t>(max_sw) + 1;
-  std::vector<std::size_t> counts(slots + 1, 0);
-  // Per-flow hop iteration (not the raw hop column): a sliced view keeps
-  // absolute CSR offsets over the parent's hop storage.
-  for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-    for (const std::uint32_t sw : dp_flows.switches(i)) ++counts[sw + 1];
-  }
-  for (std::size_t s = 0; s < slots; ++s) counts[s + 1] += counts[s];
-  std::vector<TimeNs> starts(counts[slots]);
-  std::vector<TimeNs> ends(counts[slots]);
-  {
-    std::vector<std::size_t> cursor(counts.begin(), counts.end() - 1);
-    for (std::size_t i = 0; i < dp_flows.size(); ++i) {
-      const TimeNs start = dp_flows.start_ns[i];
-      const TimeNs end = dp_flows.end_ns(i);
-      for (const std::uint32_t sw : dp_flows.switches(i)) {
-        starts[cursor[sw]] = start;
-        ends[cursor[sw]] = end;
-        ++cursor[sw];
-      }
-    }
-  }
-  std::vector<SwitchConcurrencyAlert> alerts;
-  for (std::uint32_t sw = 0; sw <= max_sw; ++sw) {
-    if (counts[sw] == counts[sw + 1]) continue;
-    const std::ptrdiff_t lo = static_cast<std::ptrdiff_t>(counts[sw]);
-    const std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(counts[sw + 1]);
-    if (!std::is_sorted(starts.begin() + lo, starts.begin() + hi)) {
-      std::sort(starts.begin() + lo, starts.begin() + hi);
-    }
-    std::sort(ends.begin() + lo, ends.begin() + hi);
-    // Two-pointer sweep, ends processed first at ties (a flow ending the
-    // instant another starts never overlaps it). Signed so a degenerate
-    // zero-duration flow (end == its own start) cannot wrap the count.
-    std::ptrdiff_t current = 0;
-    std::size_t peak = 0;
-    TimeNs peak_at = 0;
-    std::ptrdiff_t e = lo;
-    for (std::ptrdiff_t s = lo; s < hi; ++s) {
-      while (e < hi && ends[e] <= starts[s]) {
-        --current;
-        ++e;
-      }
-      ++current;
-      if (current > 0 && static_cast<std::size_t>(current) > peak) {
-        peak = static_cast<std::size_t>(current);
-        peak_at = starts[s];
-      }
-    }
-    if (peak > config_.switch_dp_flow_limit) {
-      SwitchConcurrencyAlert a;
-      a.switch_id = SwitchId(sw);
-      a.at = peak_at;
-      a.concurrent_flows = peak;
-      a.limit = config_.switch_dp_flow_limit;
-      alerts.push_back(a);
-    }
-  }
-  return alerts;
+  return switch_concurrency_alerts(dp_flows, SwitchHops(dp_flows),
+                                   config_.switch_dp_flow_limit, nullptr);
+}
+
+SwitchDiagnosis Diagnoser::switch_level(const FlowView& dp_flows,
+                                        KSigmaStats* stats,
+                                        ThreadPool* pool) const {
+  const SwitchHops hops(dp_flows);
+  SwitchDiagnosis out;
+  std::vector<std::pair<SwitchId, double>> health;
+  switch_bandwidth_stats(dp_flows, hops, config_.switch_health_percentile,
+                         pool, &out.bandwidth_gbps, &health);
+  out.bandwidth_alerts =
+      score_switch_health(health, config_.switch_ksigma, stats);
+  out.concurrency_alerts = switch_concurrency_alerts(
+      dp_flows, hops, config_.switch_dp_flow_limit, pool);
+  return out;
 }
 
 std::vector<SwitchBandwidthSeries> switch_bandwidth_timeline(

@@ -472,11 +472,11 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   KSigmaStats switch_stats;
   {
     const obs::Span span("prism.switch_diagnosis");
-    const FlowView dp_view = all_dp_flows.view();
-    report.switch_bandwidth_gbps = Diagnoser::per_switch_bandwidth(dp_view);
-    report.switch_bandwidth_alerts =
-        diagnoser.switch_bandwidth(dp_view, &switch_stats);
-    report.switch_concurrency_alerts = diagnoser.switch_concurrency(dp_view);
+    SwitchDiagnosis switches = diagnoser.switch_level(
+        all_dp_flows.view(), &switch_stats, pool_.get());
+    report.switch_bandwidth_gbps = std::move(switches.bandwidth_gbps);
+    report.switch_bandwidth_alerts = std::move(switches.bandwidth_alerts);
+    report.switch_concurrency_alerts = std::move(switches.concurrency_alerts);
   }
   report.telemetry.ksigma_series += switch_stats.series;
   report.telemetry.ksigma_points += switch_stats.points;

@@ -172,10 +172,26 @@ FlowColumns FlowColumns::gather(const FlowView& v,
 FlowColumns FlowColumns::merge_sorted_runs(std::vector<FlowColumns> runs) {
   std::size_t total = 0;
   std::size_t hops = 0;
+  std::size_t non_empty = 0;
+  FlowColumns* lone = nullptr;
   for (FlowColumns& run : runs) {
     run.sort();
     total += run.size();
     hops += run.switch_ids.size();
+    if (!run.empty()) {
+      ++non_empty;
+      lone = &run;
+    }
+  }
+  // A lone run is already the merge: move it out instead of copying it row
+  // by row through the heap. Hop-less storage gets the all-zero offsets
+  // the row-by-row append would have written.
+  if (non_empty == 1) {
+    FlowColumns out = std::move(*lone);
+    if (out.switch_offsets.empty()) {
+      out.switch_offsets.assign(out.size() + 1, 0);
+    }
+    return out;
   }
   FlowColumns out;
   out.reserve(total, hops);

@@ -2,9 +2,12 @@
 // inline vector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "llmprism/common/disjoint_set.hpp"
 #include "llmprism/common/ids.hpp"
@@ -197,6 +200,39 @@ TEST(StatsTest, Percentile) {
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 50), 50.0);
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 100), 100.0);
   EXPECT_DOUBLE_EQ(stats::percentile(xs, 25), 25.0);
+}
+
+// The selection-based percentile must reproduce the full-sort definition
+// bit for bit, including on heavy duplicates and at every interpolation
+// shape (exact index, between two equal values, between two distinct ones).
+TEST(StatsTest, SelectionPercentileMatchesSortReference) {
+  const auto sorted_percentile = [](std::vector<double> xs, double p) {
+    std::sort(xs.begin(), xs.end());
+    const double idx = p / 100.0 * static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(idx));
+    const auto hi = static_cast<std::size_t>(std::ceil(idx));
+    const double frac = idx - std::floor(idx);
+    return xs[lo] + (xs[hi] - xs[lo]) * frac;
+  };
+  Rng rng(2024);
+  for (const std::size_t n : {1u, 2u, 3u, 1000u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Draw from a handful of distinct values so most samples repeat.
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = 0.25 * static_cast<double>(rng.uniform_int(0, 7)) +
+            (rng.bernoulli(0.1) ? rng.uniform(0.0, 1.0) : 0.0);
+      }
+      for (const double p : {0.0, 12.5, 50.0, 90.0, 99.9, 100.0}) {
+        const double expected = sorted_percentile(xs, p);
+        EXPECT_EQ(stats::percentile(xs, p), expected)
+            << "n=" << n << " p=" << p;
+        std::vector<double> scratch = xs;
+        EXPECT_EQ(stats::percentile_in_place(scratch, p), expected)
+            << "n=" << n << " p=" << p;
+      }
+    }
+  }
 }
 
 TEST(StatsTest, ModePrefersSmallerOnTies) {

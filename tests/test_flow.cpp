@@ -8,6 +8,7 @@
 #include "llmprism/common/rng.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/trace.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/obs/metrics.hpp"
 
 namespace llmprism {
@@ -267,6 +268,94 @@ TEST(FlowTraceMergeTest, MergeIntoEmptyAndFromEmpty) {
   a.merge_sorted(FlowTrace{});  // from empty
   EXPECT_EQ(a.size(), 1u);
   EXPECT_TRUE(FlowTrace::merge_sorted_runs({}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// FlowColumns::merge_sorted_runs with a single non-empty run (handed back by
+// move rather than copied row by row through the merge heap)
+
+void expect_columns_equal(const FlowColumns& a, const FlowColumns& b) {
+  EXPECT_EQ(a.start_ns, b.start_ns);
+  EXPECT_EQ(a.src, b.src);
+  EXPECT_EQ(a.dst, b.dst);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.duration_ns, b.duration_ns);
+  EXPECT_EQ(a.switch_offsets, b.switch_offsets);
+  EXPECT_EQ(a.switch_ids, b.switch_ids);
+  EXPECT_EQ(a.is_sorted(), b.is_sorted());
+}
+
+/// What the row-by-row heap merge writes for one run already in order.
+FlowColumns append_rows(const FlowColumns& run) {
+  FlowColumns out;
+  out.switch_offsets.push_back(0);
+  const FlowView v = run.view();
+  for (std::size_t i = 0; i < v.size(); ++i) out.append_row(v, i);
+  out.sorted = true;
+  return out;
+}
+
+FlowTrace routed_trace(std::initializer_list<TimeNs> starts) {
+  FlowTrace trace;
+  std::uint32_t k = 0;
+  for (const TimeNs t : starts) {
+    FlowRecord f = make_flow(t, k % 4, 4 + k % 4, 1000 + k, 100 + k);
+    for (std::uint32_t h = 0; h <= k % 3; ++h) {
+      f.switches.push_back(SwitchId(k + h));
+    }
+    trace.add(f);
+    ++k;
+  }
+  return trace;
+}
+
+TEST(FlowColumnsMergeTest, LoneRunAmongEmptyRunsIsUnchanged) {
+  const FlowColumns run(routed_trace({10, 20, 20, 35, 90}));
+  ASSERT_TRUE(run.is_sorted());
+  std::vector<FlowColumns> runs(4);
+  runs[2] = run;
+  const FlowColumns merged = FlowColumns::merge_sorted_runs(std::move(runs));
+  EXPECT_TRUE(merged.is_sorted());
+  expect_columns_equal(merged, run);
+  expect_columns_equal(merged, append_rows(run));
+}
+
+TEST(FlowColumnsMergeTest, UnsortedLoneRunComesBackSorted) {
+  const FlowTrace trace = routed_trace({50, 10, 40, 20, 30});
+  const FlowColumns run(trace);
+  ASSERT_FALSE(run.is_sorted());
+  FlowTrace sorted_trace = trace;
+  sorted_trace.sort();
+  const FlowColumns merged =
+      FlowColumns::merge_sorted_runs({FlowColumns{}, run});
+  EXPECT_TRUE(merged.is_sorted());
+  EXPECT_TRUE(merged.view().verify_sorted());
+  expect_columns_equal(merged, FlowColumns(sorted_trace));
+}
+
+TEST(FlowColumnsMergeTest, HoplessLoneRunGetsZeroOffsets) {
+  // Columns written directly, without a hop column: the merge must still
+  // return the size()+1 zero offsets a row-by-row append writes.
+  FlowColumns run;
+  run.start_ns = {1, 2, 3};
+  run.src = {0, 1, 2};
+  run.dst = {4, 5, 6};
+  run.bytes = {10, 20, 30};
+  run.duration_ns = {5, 5, 5};
+  const FlowColumns merged = FlowColumns::merge_sorted_runs({run});
+  EXPECT_EQ(merged.switch_offsets, (std::vector<std::uint64_t>{0, 0, 0, 0}));
+  expect_columns_equal(merged, append_rows(run));
+}
+
+TEST(FlowColumnsMergeTest, AllEmptyRunsGiveEmptySortedColumns) {
+  for (const std::size_t k : {0u, 1u, 3u}) {
+    const FlowColumns merged =
+        FlowColumns::merge_sorted_runs(std::vector<FlowColumns>(k));
+    EXPECT_TRUE(merged.empty());
+    EXPECT_TRUE(merged.is_sorted());
+    EXPECT_EQ(merged.switch_offsets, (std::vector<std::uint64_t>{0}));
+    EXPECT_TRUE(merged.switch_ids.empty());
+  }
 }
 
 TEST(FlowTraceDropBeforeTest, ErasesStrictPrefix) {

@@ -12,6 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "llmprism/common/rng.hpp"
+#include "llmprism/common/thread_pool.hpp"
+#include "llmprism/core/diagnosis.hpp"
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/export/journal.hpp"
@@ -127,6 +130,16 @@ ClusterSimConfig eight_job_mix() {
 PrismConfig prism_config(std::size_t num_threads) {
   PrismConfig cfg;
   cfg.num_threads = num_threads;
+  return cfg;
+}
+
+// No mix above comes near the provisioned 256 concurrent DP flows per
+// switch, so switch_concurrency_alerts stay empty there. Lowering the limit
+// makes the busy switches alert, so the per-switch concurrency fan-out has
+// alerts whose values and order the comparison pins down.
+PrismConfig congested_config(std::size_t num_threads) {
+  PrismConfig cfg = prism_config(num_threads);
+  cfg.diagnosis.switch_dp_flow_limit = 12;
   return cfg;
 }
 
@@ -364,9 +377,10 @@ struct MixData {
   PrismReport baseline;  ///< num_threads = 1
 };
 
-MixData make_mix(const ClusterSimConfig& cfg) {
+MixData make_mix(const ClusterSimConfig& cfg,
+                 PrismConfig (*config)(std::size_t) = prism_config) {
   MixData mix{run_cluster_sim(cfg), {}};
-  mix.baseline = Prism(mix.sim.topology, prism_config(1)).analyze(mix.sim.trace);
+  mix.baseline = Prism(mix.sim.topology, config(1)).analyze(mix.sim.trace);
   return mix;
 }
 
@@ -384,6 +398,10 @@ const MixData& eight_jobs() {
 }
 const MixData& huge_job() {
   static const MixData mix = make_mix(huge_job_mix());
+  return mix;
+}
+const MixData& congested_three_jobs() {
+  static const MixData mix = make_mix(three_job_mix(), congested_config);
   return mix;
 }
 
@@ -411,6 +429,12 @@ TEST_P(ParallelEquivalenceTest, EightJobMix) {
 TEST_P(ParallelEquivalenceTest, HugeSingleJobMix) {
   const MixData& mix = huge_job();
   const Prism prism(mix.sim.topology, prism_config(GetParam()));
+  expect_reports_equal(mix.baseline, prism.analyze(mix.sim.trace));
+}
+
+TEST_P(ParallelEquivalenceTest, CongestedSwitchMix) {
+  const MixData& mix = congested_three_jobs();
+  const Prism prism(mix.sim.topology, congested_config(GetParam()));
   expect_reports_equal(mix.baseline, prism.analyze(mix.sim.trace));
 }
 
@@ -442,6 +466,11 @@ TEST(ParallelEquivalenceCoverageTest, MixesProduceFindings) {
   EXPECT_GT(step_alerts, 0u);
   EXPECT_FALSE(mix.baseline.switch_bandwidth_gbps.empty());
   EXPECT_FALSE(three_jobs().baseline.switch_bandwidth_alerts.empty());
+  // The congested mix must alert on some switches but not all of them.
+  const PrismReport& congested = congested_three_jobs().baseline;
+  EXPECT_FALSE(congested.switch_concurrency_alerts.empty());
+  EXPECT_LT(congested.switch_concurrency_alerts.size(),
+            congested.switch_bandwidth_gbps.size());
   // Every switch bandwidth alert must be explained by a cluster-level
   // incident, so the incident comparison above cannot pass vacuously.
   EXPECT_FALSE(three_jobs().baseline.attribution.incidents.empty());
@@ -472,6 +501,61 @@ TEST(ParallelEquivalenceCoverageTest, TelemetryCountsAreNonTrivial) {
   EXPECT_GT(t.ksigma_series, 0u);
   EXPECT_GT(t.ksigma_points, 0u);
   EXPECT_GT(t.ksigma_alerts, 0u) << "the mix injects detectable faults";
+}
+
+// The switch kernels directly: one task per switch on a pool must give
+// exactly what the sequential (null pool) loop gives, on a synthetic DP view
+// wide enough (16 switches) that several workers share the switches.
+TEST_P(ParallelEquivalenceTest, SwitchKernelsOnPoolMatchSequential) {
+  constexpr std::uint32_t kSwitches = 16;
+  Rng rng(99);
+  FlowTrace trace;
+  for (int i = 0; i < 4000; ++i) {
+    FlowRecord f;
+    f.start_time = rng.uniform_int(0, 2'000'000);
+    f.src = GpuId(static_cast<std::uint32_t>(rng.uniform_int(0, 63)));
+    f.dst = GpuId(static_cast<std::uint32_t>(rng.uniform_int(64, 127)));
+    f.bytes = static_cast<std::uint64_t>(rng.uniform_int(1, 1'000'000));
+    // Some zero-duration flows: counted by the concurrency sweep, skipped
+    // by the bandwidth kernels.
+    f.duration = rng.bernoulli(0.02) ? 0 : rng.uniform_int(1'000, 200'000);
+    const auto leaf = static_cast<std::uint32_t>(rng.uniform_int(0, 11));
+    f.switches.push_back(SwitchId(leaf));
+    f.switches.push_back(
+        SwitchId(static_cast<std::uint32_t>(rng.uniform_int(12, 15))));
+    // Switch 5 is degraded: its flows run at a quarter of the bandwidth.
+    if (leaf == 5) f.duration *= 4;
+    trace.add(f);
+  }
+  trace.sort();
+  const FlowColumns columns(trace);
+  const FlowView view = columns.view();
+
+  DiagnosisConfig cfg;
+  cfg.switch_dp_flow_limit = 40;
+  const Diagnoser diagnoser(cfg);
+  ThreadPool pool(GetParam() - 1);
+
+  KSigmaStats seq_stats;
+  KSigmaStats par_stats;
+  const SwitchDiagnosis seq = diagnoser.switch_level(view, &seq_stats);
+  const SwitchDiagnosis par = diagnoser.switch_level(view, &par_stats, &pool);
+  ASSERT_EQ(seq.bandwidth_gbps.size(), kSwitches);
+  ASSERT_FALSE(seq.bandwidth_alerts.empty());
+  ASSERT_FALSE(seq.concurrency_alerts.empty());
+  EXPECT_LT(seq.concurrency_alerts.size(), kSwitches);
+  EXPECT_EQ(seq.bandwidth_gbps, par.bandwidth_gbps);
+  expect_alerts_equal(seq.bandwidth_alerts, par.bandwidth_alerts);
+  expect_alerts_equal(seq.concurrency_alerts, par.concurrency_alerts);
+  EXPECT_EQ(seq_stats.series, par_stats.series);
+  EXPECT_EQ(seq_stats.points, par_stats.points);
+  EXPECT_EQ(seq_stats.alerts, par_stats.alerts);
+
+  // The one-call stage equals the three separate kernels.
+  EXPECT_EQ(Diagnoser::per_switch_bandwidth(view), seq.bandwidth_gbps);
+  expect_alerts_equal(diagnoser.switch_bandwidth(view), seq.bandwidth_alerts);
+  expect_alerts_equal(diagnoser.switch_concurrency(view),
+                      seq.concurrency_alerts);
 }
 
 // OnlineMonitor: a batch completing several windows analyzes them
