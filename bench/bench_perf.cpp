@@ -260,34 +260,33 @@ void BM_StageKSigma(benchmark::State& state) {
 BENCHMARK(BM_StageKSigma);
 
 // --- daemon ingest queue ---------------------------------------------------
-// The two shard ingest queues (serve/queue.hpp) head to head: N producers
-// (first arg) against one consumer. The second arg is the queue capacity:
-// 64 is the daemon default, where producers outrun the consumer and the
-// full/park path dominates; 32768 holds the whole run, so pushes never
-// block and the measurement isolates the uncontended fast path (one CAS
-// for the ring vs a lock round-trip for the deque) — the common case in a
-// daemon whose analysis keeps up. items_per_second is end-to-end transfer
+// The shard ingest queue (serve/queue.hpp): N producers (first arg) against
+// one consumer. The second arg is the queue capacity: 64 is the daemon
+// default, where producers outrun the consumer and the full/blocked path
+// dominates; 32768 holds the whole run, so pushes never block and the
+// measurement isolates the uncontended lock round-trip — the common case in
+// a daemon whose analysis keeps up. items_per_second is end-to-end transfer
 // throughput.
-void BM_ServeQueue(benchmark::State& state, serve::QueueImpl impl) {
+void BM_ServeQueue(benchmark::State& state) {
   const auto producers = static_cast<std::size_t>(state.range(0));
   const auto capacity = static_cast<std::size_t>(state.range(1));
   constexpr std::uint64_t kTotalItems = 1 << 15;
   const std::uint64_t per_producer = kTotalItems / producers;
   const std::uint64_t total = per_producer * producers;
   for (auto _ : state) {
-    const auto queue = serve::make_queue<std::uint64_t>(impl, capacity);
+    serve::MutexQueue<std::uint64_t> queue(capacity);
     std::vector<std::thread> threads;
     threads.reserve(producers);
     for (std::size_t p = 0; p < producers; ++p) {
       threads.emplace_back([&queue, per_producer] {
         for (std::uint64_t i = 0; i < per_producer; ++i) {
-          benchmark::DoNotOptimize(queue->push(i));
+          benchmark::DoNotOptimize(queue.push(i));
         }
       });
     }
     std::uint64_t drained = 0;
     for (std::uint64_t n = 0; n < total; ++n) {
-      drained += queue->pop().has_value() ? 1 : 0;
+      drained += queue.pop().has_value() ? 1 : 0;
     }
     for (std::thread& t : threads) t.join();
     benchmark::DoNotOptimize(drained);
@@ -296,10 +295,7 @@ void BM_ServeQueue(benchmark::State& state, serve::QueueImpl impl) {
       static_cast<std::int64_t>(state.iterations() * total));
   state.counters["producers"] = static_cast<double>(producers);
 }
-BENCHMARK_CAPTURE(BM_ServeQueue, mutex, serve::QueueImpl::kMutex)
-    ->Args({1, 64})->Args({2, 64})->Args({4, 64})
-    ->Args({1, 32768})->Args({4, 32768})->UseRealTime();
-BENCHMARK_CAPTURE(BM_ServeQueue, lockfree, serve::QueueImpl::kLockFree)
+BENCHMARK(BM_ServeQueue)
     ->Args({1, 64})->Args({2, 64})->Args({4, 64})
     ->Args({1, 32768})->Args({4, 32768})->UseRealTime();
 

@@ -3,10 +3,10 @@
 //
 // GPU ids are dense (see topology), so the routing table is a flat
 // vector indexed by GPU id — one load per lookup instead of a hash probe
-// per flow. Routing scans the trace once and preserves its order, which
-// is what lets the per-job pipeline skip re-sorting: a sorted input
-// yields per-job traces that are born sorted (and their FlowTrace
-// sortedness cache knows it).
+// per flow. Routing scans the columns and preserves their order, which
+// is what lets the per-job pipeline skip re-sorting: a sorted input view
+// yields per-job columns that are born sorted (their `sorted` flag is set
+// without a re-verify).
 //
 // A flow is routed by its src GPU; when the src is unattributed (e.g. a
 // half-recognized job, or a recognizer that excluded the src) the dst is
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "llmprism/core/job_recognition.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -42,8 +41,9 @@ class FlowRouter {
   }
 
   struct Result {
-    /// Per-job flows, input order preserved within each job.
-    std::vector<FlowTrace> job_traces;
+    /// Per-job columns, input order preserved within each job (born sorted
+    /// when the input view is sorted — a subsequence of a sorted sequence).
+    std::vector<FlowColumns> job_columns;
     std::uint64_t flows_routed = 0;
     /// Of flows_routed: flows whose src was unattributed and that were
     /// recovered through the dst lookup.
@@ -51,22 +51,10 @@ class FlowRouter {
     std::uint64_t flows_unattributed = 0;
   };
 
-  /// Route every flow of `trace` to its job in one ordered pass.
-  [[nodiscard]] Result route(const FlowTrace& trace) const;
-
-  struct ColumnarResult {
-    /// Per-job columns, input order preserved within each job (born sorted
-    /// when the input view is sorted — a subsequence of a sorted sequence).
-    std::vector<FlowColumns> job_columns;
-    std::uint64_t flows_routed = 0;
-    std::uint64_t flows_routed_via_dst = 0;
-    std::uint64_t flows_unattributed = 0;
-  };
-
-  /// Columnar routing: two passes over the src/dst columns (count per job,
-  /// prefix-size the targets, then gather) without ever materializing a
-  /// FlowRecord.
-  [[nodiscard]] ColumnarResult route(const FlowView& view) const;
+  /// Route every flow of `view` to its job: two passes over the src/dst
+  /// columns (count per job, prefix-size the targets, then gather) without
+  /// ever materializing a FlowRecord.
+  [[nodiscard]] Result route(const FlowView& view) const;
 
   [[nodiscard]] std::size_t num_jobs() const { return num_jobs_; }
 

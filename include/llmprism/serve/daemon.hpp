@@ -36,7 +36,6 @@
 #include "llmprism/core/monitor.hpp"
 #include "llmprism/export/config.hpp"
 #include "llmprism/serve/http.hpp"
-#include "llmprism/serve/queue.hpp"
 #include "llmprism/topology/topology.hpp"
 
 namespace llmprism::serve {
@@ -57,11 +56,6 @@ struct ServeConfig {
   /// Bounded chunk capacity of each shard's ingest queue; a full queue
   /// blocks producers (the backpressure mechanism).
   std::size_t queue_capacity = 64;
-  /// Ingest queue implementation (see serve/queue.hpp): the lock-free
-  /// ring by default, the mutex+condvar deque via `--queue-impl mutex`.
-  /// Semantics are identical; the ring rounds queue_capacity up to a
-  /// power of two.
-  QueueImpl queue_impl = QueueImpl::kLockFree;
 
   /// Warm-state snapshot file (shard i of a multi-shard daemon uses
   /// "<path>.shardI"). Saved on stop(), restored on start() when present;

@@ -338,7 +338,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             ? session->cached_router()
             : local_router.emplace(
                   std::span<const RecognizedJob>(report.recognition.jobs));
-    FlowRouter::ColumnarResult routed = router.route(view);
+    FlowRouter::Result routed = router.route(view);
     job_columns = std::move(routed.job_columns);
     report.telemetry.flows_routed = routed.flows_routed;
     report.telemetry.flows_routed_via_dst = routed.flows_routed_via_dst;

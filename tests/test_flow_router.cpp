@@ -6,18 +6,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
 #include <vector>
+
+#include "llmprism/flow/trace.hpp"
 
 namespace llmprism {
 namespace {
 
-FlowRecord flow_at(TimeNs at, std::uint32_t src, std::uint32_t dst) {
+FlowRecord flow_at(TimeNs at, std::uint32_t src, std::uint32_t dst,
+                   std::initializer_list<std::uint32_t> hops = {}) {
   FlowRecord f;
   f.start_time = at;
   f.src = GpuId(src);
   f.dst = GpuId(dst);
   f.bytes = 1 << 20;
   f.duration = 100;
+  for (const std::uint32_t sw : hops) f.switches.push_back(SwitchId(sw));
   return f;
 }
 
@@ -25,6 +31,10 @@ RecognizedJob job_with_gpus(std::vector<std::uint32_t> gpus) {
   RecognizedJob job;
   for (const std::uint32_t g : gpus) job.gpus.push_back(GpuId(g));
   return job;
+}
+
+FlowRouter::Result route(const FlowRouter& router, const FlowTrace& trace) {
+  return router.route(FlowColumns(trace).view());
 }
 
 TEST(FlowRouterTest, RoutesBySrcToTheOwningJob) {
@@ -41,13 +51,13 @@ TEST(FlowRouterTest, RoutesBySrcToTheOwningJob) {
   trace.add(flow_at(10, 0, 1));
   trace.add(flow_at(20, 5, 4));
   trace.add(flow_at(30, 1, 0));
-  const auto result = router.route(trace);
+  const auto result = route(router, trace);
   EXPECT_EQ(result.flows_routed, 3u);
   EXPECT_EQ(result.flows_routed_via_dst, 0u);
   EXPECT_EQ(result.flows_unattributed, 0u);
-  ASSERT_EQ(result.job_traces.size(), 2u);
-  EXPECT_EQ(result.job_traces[0].size(), 2u);
-  EXPECT_EQ(result.job_traces[1].size(), 1u);
+  ASSERT_EQ(result.job_columns.size(), 2u);
+  EXPECT_EQ(result.job_columns[0].size(), 2u);
+  EXPECT_EQ(result.job_columns[1].size(), 1u);
 }
 
 TEST(FlowRouterTest, FallsBackToDstWhenSrcIsUnattributed) {
@@ -61,14 +71,14 @@ TEST(FlowRouterTest, FallsBackToDstWhenSrcIsUnattributed) {
   trace.add(flow_at(10, 7, 1));   // src unattributed, dst owned: recovered
   trace.add(flow_at(20, 0, 7));   // src owned: normal routing
   trace.add(flow_at(30, 8, 9));   // neither endpoint owned: unattributed
-  const auto result = router.route(trace);
+  const auto result = route(router, trace);
   EXPECT_EQ(result.flows_routed, 2u);
   EXPECT_EQ(result.flows_routed_via_dst, 1u);
   EXPECT_EQ(result.flows_unattributed, 1u);
-  ASSERT_EQ(result.job_traces.size(), 1u);
-  ASSERT_EQ(result.job_traces[0].size(), 2u);
-  EXPECT_EQ(result.job_traces[0][0].src, GpuId(7));
-  EXPECT_EQ(result.job_traces[0][1].src, GpuId(0));
+  ASSERT_EQ(result.job_columns.size(), 1u);
+  ASSERT_EQ(result.job_columns[0].size(), 2u);
+  EXPECT_EQ(result.job_columns[0][0].src, GpuId(7));
+  EXPECT_EQ(result.job_columns[0][1].src, GpuId(0));
 }
 
 TEST(FlowRouterTest, PreservesOrderSoSortedInputYieldsSortedJobTraces) {
@@ -81,14 +91,35 @@ TEST(FlowRouterTest, PreservesOrderSoSortedInputYieldsSortedJobTraces) {
   trace.add(flow_at(30, 1, 0));
   trace.add(flow_at(40, 3, 2));
   ASSERT_TRUE(trace.is_sorted());
-  const auto result = router.route(trace);
-  for (const FlowTrace& jt : result.job_traces) {
-    // Born sorted: the cached flag must already know, no O(N) verify is
-    // involved in the assertion path.
-    EXPECT_TRUE(jt.is_sorted());
+  const auto result = route(router, trace);
+  for (const FlowColumns& jc : result.job_columns) {
+    // Born sorted: the flag is inherited from the sorted input view.
+    EXPECT_TRUE(jc.is_sorted());
   }
-  EXPECT_EQ(result.job_traces[0][0].start_time, 10);
-  EXPECT_EQ(result.job_traces[0][1].start_time, 30);
+  EXPECT_EQ(result.job_columns[0][0].start_time, 10);
+  EXPECT_EQ(result.job_columns[0][1].start_time, 30);
+}
+
+TEST(FlowRouterTest, GatherKeepsEachFlowsSwitchHops) {
+  const std::vector<RecognizedJob> jobs{job_with_gpus({0, 1}),
+                                        job_with_gpus({2, 3})};
+  const FlowRouter router(jobs);
+  FlowTrace trace;
+  trace.add(flow_at(10, 0, 1, {3, 4}));
+  trace.add(flow_at(20, 2, 3, {5}));
+  trace.add(flow_at(30, 1, 0));  // intra-machine: no hops
+  trace.add(flow_at(40, 0, 1, {6, 7, 8}));
+  const auto result = route(router, trace);
+  ASSERT_EQ(result.job_columns.size(), 2u);
+
+  const FlowColumns& job0 = result.job_columns[0];
+  EXPECT_EQ(job0.switch_offsets, (std::vector<std::uint64_t>{0, 2, 2, 5}));
+  EXPECT_EQ(job0.switch_ids, (std::vector<std::uint32_t>{3, 4, 6, 7, 8}));
+  const FlowColumns& job1 = result.job_columns[1];
+  EXPECT_EQ(job1.switch_offsets, (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_EQ(job1.switch_ids, (std::vector<std::uint32_t>{5}));
+  ASSERT_EQ(job0[2].switches.size(), 3u);
+  EXPECT_EQ(job0[2].switches[0], SwitchId(6));
 }
 
 TEST(FlowRouterTest, LowerJobWinsContestedGpus) {
@@ -104,8 +135,8 @@ TEST(FlowRouterTest, EmptyJobsRouteNothing) {
   const FlowRouter router(std::vector<RecognizedJob>{});
   FlowTrace trace;
   trace.add(flow_at(10, 0, 1));
-  const auto result = router.route(trace);
-  EXPECT_TRUE(result.job_traces.empty());
+  const auto result = route(router, trace);
+  EXPECT_TRUE(result.job_columns.empty());
   EXPECT_EQ(result.flows_routed, 0u);
   EXPECT_EQ(result.flows_unattributed, 1u);
 }

@@ -1,13 +1,9 @@
-// Differential tests for the two shard ingest queues (serve/queue.hpp):
-// the mutex+condvar deque and the lock-free MPSC ring must be
-// behaviorally interchangeable — same FIFO guarantee per producer, same
-// capacity bound, same blocking push / drain-after-close semantics —
-// because ServeConfig::queue_impl switches between them at runtime. The
-// multi-producer stress cases double as the TSan workload (this binary
+// Contract tests for the shard ingest queue (serve/queue.hpp): FIFO per
+// producer, an exact capacity bound, blocking push, and drain-after-close.
+// The multi-producer stress cases double as the TSan workload (this binary
 // runs in the TSan CI job).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -22,109 +18,104 @@
 namespace llmprism::serve {
 namespace {
 
-class QueueTest : public ::testing::TestWithParam<QueueImpl> {
- protected:
-  [[nodiscard]] std::unique_ptr<BoundedQueue<std::uint64_t>> make(
-      std::size_t capacity) const {
-    return make_queue<std::uint64_t>(GetParam(), capacity);
-  }
-};
+using Queue = MutexQueue<std::uint64_t>;
 
-TEST_P(QueueTest, FifoSingleProducer) {
-  const auto q = make(16);
+TEST(QueueTest, FifoSingleProducer) {
+  Queue q(16);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const PushOutcome outcome = q->push(i);
+    const PushOutcome outcome = q.push(i);
     EXPECT_TRUE(outcome.accepted);
     EXPECT_FALSE(outcome.blocked) << "capacity 16 must not block at depth "
                                   << i;
   }
-  EXPECT_EQ(q->depth(), 10u);
+  EXPECT_EQ(q.depth(), 10u);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    const std::optional<std::uint64_t> item = q->pop();
+    const std::optional<std::uint64_t> item = q.pop();
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(*item, i);
   }
-  EXPECT_EQ(q->depth(), 0u);
+  EXPECT_EQ(q.depth(), 0u);
 }
 
-TEST_P(QueueTest, PushAfterCloseIsRejected) {
-  const auto q = make(4);
-  EXPECT_TRUE(q->push(1).accepted);
-  q->close();
-  EXPECT_FALSE(q->push(2).accepted);
+TEST(QueueTest, PushAfterCloseIsRejected) {
+  Queue q(4);
+  EXPECT_TRUE(q.push(1).accepted);
+  q.close();
+  EXPECT_FALSE(q.push(2).accepted);
 }
 
-TEST_P(QueueTest, PopDrainsRemainingItemsAfterClose) {
-  const auto q = make(8);
+TEST(QueueTest, PopDrainsRemainingItemsAfterClose) {
+  Queue q(8);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q->push(i).accepted);
+    ASSERT_TRUE(q.push(i).accepted);
   }
-  q->close();
+  q.close();
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const std::optional<std::uint64_t> item = q->pop();
+    const std::optional<std::uint64_t> item = q.pop();
     ASSERT_TRUE(item.has_value()) << "item " << i << " lost at close";
     EXPECT_EQ(*item, i);
   }
-  EXPECT_FALSE(q->pop().has_value()) << "drained+closed pop must signal exit";
-  EXPECT_FALSE(q->pop().has_value()) << "...and stay signalled";
+  EXPECT_FALSE(q.pop().has_value()) << "drained+closed pop must signal exit";
+  EXPECT_FALSE(q.pop().has_value()) << "...and stay signalled";
 }
 
-TEST_P(QueueTest, PopBlocksUntilPushArrives) {
-  const auto q = make(4);
+TEST(QueueTest, PopBlocksUntilPushArrives) {
+  Queue q(4);
   std::atomic<bool> got{false};
   std::thread consumer([&] {
-    const std::optional<std::uint64_t> item = q->pop();
+    const std::optional<std::uint64_t> item = q.pop();
     ASSERT_TRUE(item.has_value());
     EXPECT_EQ(*item, 42u);
     got.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(got.load()) << "pop returned before any push";
-  ASSERT_TRUE(q->push(42).accepted);
+  ASSERT_TRUE(q.push(42).accepted);
   consumer.join();
   EXPECT_TRUE(got.load());
 }
 
-TEST_P(QueueTest, FullQueueBlocksProducerUntilPop) {
-  // The ring rounds capacity up to a power of two, so use one (4) where
-  // both impls bound identically.
-  const auto q = make(4);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(q->push(i).accepted);
+TEST(QueueTest, FullQueueBlocksProducerUntilPop) {
+  // Capacity 5 is not a power of two: the bound is exactly the configured
+  // ServeConfig::queue_capacity, never rounded up.
+  Queue q(5);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(q.push(i).accepted);
   }
   std::atomic<bool> accepted{false};
   std::atomic<bool> blocked{false};
   std::thread producer([&] {
-    const PushOutcome outcome = q->push(99);
+    const PushOutcome outcome = q.push(99);
     blocked.store(outcome.blocked);
     accepted.store(outcome.accepted);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(accepted.load()) << "push must block while full";
-  ASSERT_TRUE(q->pop().has_value());
+  EXPECT_EQ(q.depth(), 5u);
+  ASSERT_TRUE(q.pop().has_value());
   producer.join();
   EXPECT_TRUE(accepted.load());
   EXPECT_TRUE(blocked.load()) << "a blocking push must report itself";
   // FIFO across the block: the remaining original items precede 99.
-  for (std::uint64_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(q->pop(), std::optional<std::uint64_t>(i));
+  for (std::uint64_t i = 1; i < 5; ++i) {
+    EXPECT_EQ(q.pop(), std::optional<std::uint64_t>(i));
   }
-  EXPECT_EQ(q->pop(), std::optional<std::uint64_t>(99));
+  EXPECT_EQ(q.pop(), std::optional<std::uint64_t>(99));
 }
 
-TEST_P(QueueTest, CloseUnblocksAFullProducer) {
-  const auto q = make(2);
-  ASSERT_TRUE(q->push(0).accepted);
-  ASSERT_TRUE(q->push(1).accepted);
+TEST(QueueTest, CloseUnblocksAFullProducer) {
+  Queue q(2);
+  ASSERT_TRUE(q.push(0).accepted);
+  ASSERT_TRUE(q.push(1).accepted);
   std::atomic<bool> done{false};
   std::atomic<bool> accepted{true};
   std::thread producer([&] {
-    accepted.store(q->push(2).accepted);
+    accepted.store(q.push(2).accepted);
     done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(done.load());
-  q->close();
+  q.close();
   producer.join();
   EXPECT_FALSE(accepted.load()) << "a push released by close drops its item";
 }
@@ -135,10 +126,10 @@ TEST_P(QueueTest, CloseUnblocksAFullProducer) {
 // exactly once, and each producer's own items must arrive in its send
 // order (per-producer FIFO is what keeps one connection's chunks
 // analyzed in order).
-TEST_P(QueueTest, MpscStressDeliversEverythingInPerProducerOrder) {
+TEST(QueueTest, MpscStressDeliversEverythingInPerProducerOrder) {
   constexpr std::size_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 2000;
-  const auto q = make(8);  // small: forces blocking pushes
+  Queue q(8);  // small: forces blocking pushes
 
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
@@ -146,7 +137,7 @@ TEST_P(QueueTest, MpscStressDeliversEverythingInPerProducerOrder) {
     producers.emplace_back([&, p] {
       for (std::uint64_t i = 0; i < kPerProducer; ++i) {
         // Tag: producer in the high bits, sequence in the low.
-        ASSERT_TRUE(q->push((static_cast<std::uint64_t>(p) << 32) | i)
+        ASSERT_TRUE(q.push((static_cast<std::uint64_t>(p) << 32) | i)
                         .accepted);
       }
     });
@@ -155,7 +146,7 @@ TEST_P(QueueTest, MpscStressDeliversEverythingInPerProducerOrder) {
   std::vector<std::vector<std::uint64_t>> seen(kProducers);
   std::thread consumer([&] {
     for (std::uint64_t n = 0; n < kProducers * kPerProducer; ++n) {
-      const std::optional<std::uint64_t> item = q->pop();
+      const std::optional<std::uint64_t> item = q.pop();
       ASSERT_TRUE(item.has_value());
       seen[*item >> 32].push_back(*item & 0xffffffffu);
     }
@@ -169,22 +160,22 @@ TEST_P(QueueTest, MpscStressDeliversEverythingInPerProducerOrder) {
       ASSERT_EQ(seen[p][i], i) << "producer " << p << " reordered";
     }
   }
-  EXPECT_EQ(q->depth(), 0u);
-  q->close();
-  EXPECT_FALSE(q->pop().has_value());
+  EXPECT_EQ(q.depth(), 0u);
+  q.close();
+  EXPECT_FALSE(q.pop().has_value());
 }
 
 // Producers racing close(): whatever was accepted before the close must
 // still be drained — no accepted item may vanish.
-TEST_P(QueueTest, NoAcceptedItemLostAcrossClose) {
+TEST(QueueTest, NoAcceptedItemLostAcrossClose) {
   constexpr std::size_t kProducers = 4;
-  const auto q = make(8);
+  Queue q(8);
   std::atomic<std::uint64_t> pushed{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (std::uint64_t i = 0; i < 10000; ++i) {
-        if (!q->push((static_cast<std::uint64_t>(p) << 32) | i).accepted) {
+        if (!q.push((static_cast<std::uint64_t>(p) << 32) | i).accepted) {
           return;  // closed underneath us
         }
         pushed.fetch_add(1, std::memory_order_relaxed);
@@ -193,51 +184,25 @@ TEST_P(QueueTest, NoAcceptedItemLostAcrossClose) {
   }
   std::atomic<std::uint64_t> popped{0};
   std::thread consumer([&] {
-    while (q->pop().has_value()) {
+    while (q.pop().has_value()) {
       popped.fetch_add(1, std::memory_order_relaxed);
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  q->close();
+  q.close();
   for (std::thread& t : producers) t.join();
   consumer.join();
   EXPECT_EQ(popped.load(), pushed.load())
       << "accepted-but-undrained items were lost at shutdown";
 }
 
-TEST_P(QueueTest, MoveOnlyPayload) {
-  const auto q = make_queue<std::unique_ptr<std::uint64_t>>(GetParam(), 4);
-  ASSERT_TRUE(q->push(std::make_unique<std::uint64_t>(7)).accepted);
-  const auto item = q->pop();
+TEST(QueueTest, MoveOnlyPayload) {
+  MutexQueue<std::unique_ptr<std::uint64_t>> q(4);
+  ASSERT_TRUE(q.push(std::make_unique<std::uint64_t>(7)).accepted);
+  const auto item = q.pop();
   ASSERT_TRUE(item.has_value());
   ASSERT_NE(*item, nullptr);
   EXPECT_EQ(**item, 7u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Impls, QueueTest,
-                         ::testing::Values(QueueImpl::kMutex,
-                                           QueueImpl::kLockFree),
-                         [](const auto& param_info) {
-                           return std::string(to_string(param_info.param));
-                         });
-
-TEST(QueueImplTest, ParseRoundTrips) {
-  EXPECT_EQ(parse_queue_impl("mutex"), QueueImpl::kMutex);
-  EXPECT_EQ(parse_queue_impl("lockfree"), QueueImpl::kLockFree);
-  EXPECT_EQ(parse_queue_impl("bogus"), std::nullopt);
-  EXPECT_EQ(to_string(QueueImpl::kMutex), "mutex");
-  EXPECT_EQ(to_string(QueueImpl::kLockFree), "lockfree");
-}
-
-// The ring masks rather than divides, so capacity rounds up to a power
-// of two; the documented contract is "at least the requested capacity".
-TEST(QueueImplTest, RingRoundsCapacityUp) {
-  MpscRingQueue<std::uint64_t> q(5);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    EXPECT_TRUE(q.push(i).accepted) << "slot " << i << " of the rounded ring";
-  }
-  EXPECT_EQ(q.depth(), 8u);
-  q.close();
 }
 
 }  // namespace

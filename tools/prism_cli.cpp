@@ -16,12 +16,9 @@
 //       run the long-running diagnosis daemon (same entry point as the
 //       prismd binary; see serve/daemon.hpp and DESIGN.md §14).
 //
-// Deprecated spellings keep working with a one-line warning:
-//   prism <trace> [options]        ->  prism analyze <trace> [options]
-//   prism analyze --monitor-window S  ->  prism monitor --window S
-//
 // Every subcommand shares one declarative flag parser (common/flags.hpp);
-// an unknown option is always an error: exit code 2 plus a usage hint.
+// an unknown option (or subcommand) is always an error: exit code 2 plus a
+// usage hint.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -403,19 +400,12 @@ int run_monitor_on(const CommonOptions& options, const std::string& trace_path,
 int run_analyze(int argc, const char* const* argv, int begin) {
   CommonOptions common;
   std::optional<double> window_seconds;
-  std::optional<double> monitor_window_seconds;
-  bool no_carry = false;
   std::vector<std::string> positionals;
 
   cli::FlagSet flags("prism analyze");
   flags.flag("--window", "S", "analyze only the first S seconds of the trace",
              &window_seconds);
   add_common_flags(flags, common);
-  flags.flag("--monitor-window", "S",
-             "deprecated: use `prism monitor <trace> --window S`",
-             &monitor_window_seconds);
-  flags.flag("--no-carry",
-             "with --monitor-window: disable the warm session", &no_carry);
   flags.positionals("trace", 1, 1, &positionals);
 
   if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
@@ -423,13 +413,6 @@ int run_analyze(int argc, const char* const* argv, int begin) {
     return rc;
   }
   if (const int rc = apply_common(flags, common); rc >= 0) return rc;
-
-  if (monitor_window_seconds) {
-    std::cerr << "prism: note: --monitor-window is deprecated; use `prism "
-                 "monitor <trace> --window S`\n";
-    return run_monitor_on(common, positionals[0], *monitor_window_seconds,
-                          !no_carry);
-  }
   return run_one_shot(common, positionals[0], window_seconds);
 }
 
@@ -446,7 +429,6 @@ int run_monitor_cmd(int argc, const char* const* argv, int begin) {
              "disable the warm cross-window session (stateless analysis)",
              &no_carry);
   add_common_flags(flags, common);
-  flags.alias("--monitor-window", "--window");
   flags.positionals("trace", 1, 1, &positionals);
 
   if (const int rc = finish_parse(flags, flags.parse(argc, argv, begin));
@@ -578,10 +560,7 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // Deprecated bare form: `prism <trace> [options]`. Everything after
-  // argv[0] goes through the analyze parser, so old flag spellings (and
-  // unknown-option rejection) behave exactly like `prism analyze`.
-  std::cerr << "prism: note: bare `prism <trace>` is deprecated; use `prism "
-               "analyze <trace>`\n";
-  return run_analyze(argc, argv, 1);
+  std::cerr << "prism: unknown subcommand '" << command << "'\n";
+  usage();
+  return 2;
 }
