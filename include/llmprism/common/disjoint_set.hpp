@@ -25,6 +25,15 @@ class DisjointSet {
   [[nodiscard]] std::size_t size() const { return parent_.size(); }
   [[nodiscard]] std::size_t num_sets() const { return num_sets_; }
 
+  /// Append a new singleton element; returns its index (the old size()).
+  std::size_t add() {
+    const std::size_t x = parent_.size();
+    parent_.push_back(x);
+    size_.push_back(1);
+    ++num_sets_;
+    return x;
+  }
+
   /// Representative of the set containing `x` (with path compression).
   [[nodiscard]] std::size_t find(std::size_t x) {
     check(x);

@@ -42,7 +42,6 @@
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/core/diagnosis.hpp"
 #include "llmprism/core/timeline.hpp"
-#include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
 
 namespace llmprism {
@@ -192,12 +191,9 @@ class Attributor {
       const GpuTimeline& timeline);
 
   /// Switch ids traversed by each DP component's flows (ascending, unique;
-  /// one entry per component, aligned with `dp_components`).
-  [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
-      const FlowTrace& job_trace,
-      const std::vector<std::vector<GpuId>>& dp_components);
-  /// Columnar overload (same output): reads src/dst plus the CSR switch
-  /// paths, no FlowRecord is materialized.
+  /// one entry per component, aligned with `dp_components`). Reads src/dst
+  /// plus the CSR switch paths; the membership table it builds is
+  /// components x (highest switch id in the job's hops + 1) bytes.
   [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
       const FlowView& job_flows,
       const std::vector<std::vector<GpuId>>& dp_components);

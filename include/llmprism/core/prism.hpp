@@ -138,7 +138,9 @@ class Prism {
 
   /// Analyze one window of cluster-wide flows end-to-end. Thread-safe:
   /// several threads may analyze different traces on one Prism (the
-  /// OnlineMonitor does exactly that for concurrent windows).
+  /// OnlineMonitor does exactly that for concurrent windows). Throws
+  /// std::out_of_range when a flow names a GPU or switch id outside the
+  /// topology.
   [[nodiscard]] PrismReport analyze(const FlowTrace& trace) const;
 
   /// Same, threading warm cross-window state through the pipeline (the

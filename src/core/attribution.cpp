@@ -168,53 +168,56 @@ std::vector<double> Attributor::step_self_times(const GpuTimeline& t) {
 }
 
 std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
-    const FlowTrace& job_trace,
-    const std::vector<std::vector<GpuId>>& dp_components) {
-  std::unordered_map<GpuId, std::size_t> comp_of;
-  for (std::size_t c = 0; c < dp_components.size(); ++c) {
-    for (const GpuId g : dp_components[c]) comp_of.emplace(g, c);
-  }
-  std::vector<std::vector<SwitchId>> sets(dp_components.size());
-  for (const FlowRecord& f : job_trace) {
-    const auto a = comp_of.find(f.src);
-    const auto b = comp_of.find(f.dst);
-    // Same recovered component on both ends <=> a DP ring flow (PP edges
-    // connect distinct pipeline stages, hence distinct components).
-    if (a == comp_of.end() || b == comp_of.end() || a->second != b->second) {
-      continue;
-    }
-    for (const SwitchId sw : f.switches) sets[a->second].push_back(sw);
-  }
-  for (std::vector<SwitchId>& s : sets) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-  }
-  return sets;
-}
-
-std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
     const FlowView& job_flows,
     const std::vector<std::vector<GpuId>>& dp_components) {
-  std::unordered_map<GpuId, std::size_t> comp_of;
-  for (std::size_t c = 0; c < dp_components.size(); ++c) {
-    for (const GpuId g : dp_components[c]) comp_of.emplace(g, c);
-  }
   std::vector<std::vector<SwitchId>> sets(dp_components.size());
-  for (std::size_t i = 0; i < job_flows.size(); ++i) {
-    const auto a = comp_of.find(GpuId(job_flows.src[i]));
-    const auto b = comp_of.find(GpuId(job_flows.dst[i]));
+  const std::size_t n = job_flows.size();
+  if (job_flows.switch_offsets.empty() || n == 0) return sets;
+  // Table widths come from the job's own hops, offsets[0]..offsets[n]: a
+  // sliced view's switch_ids span covers its parent's hops too.
+  const std::uint64_t* const offsets = job_flows.switch_offsets.data();
+  const std::uint32_t* const ids = job_flows.switch_ids.data();
+  if (offsets[0] == offsets[n]) return sets;
+  std::uint32_t max_switch = 0;
+  for (std::uint64_t k = offsets[0]; k < offsets[n]; ++k) {
+    max_switch = std::max(max_switch, ids[k]);
+  }
+  const std::size_t slots = std::size_t{max_switch} + 1;
+
+  // Dense GPU -> component table and one membership byte per (component,
+  // switch): no hashing per flow. Row `spill` absorbs every flow that is
+  // not a ring flow, so the per-flow row choice needs no branch; GPU ids
+  // past the table clamp to its last entry, which is in no component.
+  const auto spill = static_cast<std::uint32_t>(dp_components.size());
+  std::uint32_t num_gpus = 0;
+  for (const std::vector<GpuId>& comp : dp_components) {
+    for (const GpuId g : comp) num_gpus = std::max(num_gpus, g.value() + 1);
+  }
+  std::vector<std::uint32_t> comp_of(std::size_t{num_gpus} + 1, spill);
+  // Descending, so a GPU listed in several components keeps the first.
+  for (std::size_t c = dp_components.size(); c-- > 0;) {
+    for (const GpuId g : dp_components[c]) {
+      comp_of[g.value()] = static_cast<std::uint32_t>(c);
+    }
+  }
+  std::vector<std::uint8_t> member((dp_components.size() + 1) * slots, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t a = comp_of[std::min(job_flows.src[i], num_gpus)];
+    const std::uint32_t b = comp_of[std::min(job_flows.dst[i], num_gpus)];
     // Same recovered component on both ends <=> a DP ring flow (PP edges
     // connect distinct pipeline stages, hence distinct components).
-    if (a == comp_of.end() || b == comp_of.end() || a->second != b->second) {
-      continue;
-    }
-    for (const std::uint32_t sw : job_flows.switches(i)) {
-      sets[a->second].push_back(SwitchId(sw));
+    std::uint8_t* const row =
+        member.data() + std::size_t{a == b ? a : spill} * slots;
+    for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      row[ids[k]] = 1;
     }
   }
-  for (std::vector<SwitchId>& s : sets) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
+  // Reading back in switch-id order keeps every set ascending and unique.
+  for (std::size_t c = 0; c < sets.size(); ++c) {
+    const std::uint8_t* const row = member.data() + c * slots;
+    for (std::size_t sw = 0; sw < slots; ++sw) {
+      if (row[sw] != 0) sets[c].emplace_back(static_cast<std::uint32_t>(sw));
+    }
   }
   return sets;
 }
@@ -397,11 +400,14 @@ AttributionResult Attributor::attribute(
         std::unique(flagged_steps.begin(), flagged_steps.end()),
         flagged_steps.end());
 
-    // Per-rank self-time series, computed once per job.
+    // Per-rank self-time series, computed once per job that has a range
+    // left to trace.
     std::vector<std::vector<double>> self_times;
-    self_times.reserve(job.timelines.size());
-    for (const GpuTimeline& t : job.timelines) {
-      self_times.push_back(step_self_times(t));
+    if (!flagged_steps.empty()) {
+      self_times.reserve(job.timelines.size());
+      for (const GpuTimeline& t : job.timelines) {
+        self_times.push_back(step_self_times(t));
+      }
     }
 
     std::size_t r = 0;

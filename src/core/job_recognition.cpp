@@ -1,9 +1,9 @@
 #include "llmprism/core/job_recognition.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "llmprism/common/disjoint_set.hpp"
 #include "llmprism/common/stats.hpp"
@@ -23,53 +23,37 @@ JobRecognizer::JobRecognizer(const ClusterTopology& topology,
 namespace {
 
 /// Phase-1 endpoint interning + union, shared by both recognize()
-/// overloads. `each_edge(fn)` must invoke fn(src, dst) once per flow, in
-/// any order (the partition depends only on the edge set).
+/// overloads. GPU ids are dense in [0, num_gpus) (topology.hpp), so one
+/// flat GPU -> slot table replaces a hash map: a flow costs two loads and
+/// one unite. Slots are numbered in first-appearance order; the partition
+/// is a pure function of the edge set either way.
 struct EndpointUnion {
-  std::unordered_map<GpuId, std::size_t> index_of;
-  std::vector<GpuId> gpu_of;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  std::vector<std::uint32_t> slot_of;  ///< GPU id -> slot, kNoSlot if unseen
+  std::vector<GpuId> gpu_of;           ///< slot -> GPU id
   DisjointSet sets{0};
 
-  template <typename EachEdge>
-  explicit EndpointUnion(EachEdge&& each_edge) {
-    auto intern = [&](GpuId gpu) {
-      const auto [it, inserted] = index_of.emplace(gpu, gpu_of.size());
-      if (inserted) gpu_of.push_back(gpu);
-      return it->second;
-    };
-    // First pass collects endpoints (DisjointSet needs a fixed size).
-    each_edge([&](GpuId src, GpuId dst) {
-      intern(src);
-      intern(dst);
-    });
-    sets = DisjointSet(gpu_of.size());
-    each_edge([&](GpuId src, GpuId dst) {
-      sets.unite(index_of.at(src), index_of.at(dst));
-    });
+  explicit EndpointUnion(const ClusterTopology& topology)
+      : slot_of(topology.num_gpus(), kNoSlot) {}
+
+  void add_edge(std::uint32_t src, std::uint32_t dst) {
+    sets.unite(intern(src), intern(dst));
+  }
+
+ private:
+  std::uint32_t intern(std::uint32_t gpu) {
+    if (gpu >= slot_of.size()) {
+      throw std::out_of_range("topology: GPU id out of range");
+    }
+    std::uint32_t& slot = slot_of[gpu];
+    if (slot == kNoSlot) {
+      slot = static_cast<std::uint32_t>(sets.add());
+      gpu_of.emplace_back(gpu);
+    }
+    return slot;
   }
 };
-
-JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
-                                         const JobRecognitionConfig& config,
-                                         EndpointUnion&& endpoints);
-
-}  // namespace
-
-JobRecognitionResult JobRecognizer::recognize(const FlowTrace& trace) const {
-  return recognize_endpoints(topology_, config_, EndpointUnion([&](auto&& fn) {
-    for (const FlowRecord& f : trace) fn(f.src, f.dst);
-  }));
-}
-
-JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
-  return recognize_endpoints(topology_, config_, EndpointUnion([&](auto&& fn) {
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      fn(GpuId(view.src[i]), GpuId(view.dst[i]));
-    }
-  }));
-}
-
-namespace {
 
 JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
                                          const JobRecognitionConfig& config,
@@ -164,5 +148,21 @@ JobRecognitionResult recognize_endpoints(const ClusterTopology& topology,
 }
 
 }  // namespace
+
+JobRecognitionResult JobRecognizer::recognize(const FlowTrace& trace) const {
+  EndpointUnion endpoints(topology_);
+  for (const FlowRecord& f : trace) {
+    endpoints.add_edge(f.src.value(), f.dst.value());
+  }
+  return recognize_endpoints(topology_, config_, std::move(endpoints));
+}
+
+JobRecognitionResult JobRecognizer::recognize(const FlowView& view) const {
+  EndpointUnion endpoints(topology_);
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    endpoints.add_edge(view.src[i], view.dst[i]);
+  }
+  return recognize_endpoints(topology_, config_, std::move(endpoints));
+}
 
 }  // namespace llmprism

@@ -110,6 +110,21 @@ void fold_job_telemetry(ReportTelemetry& t, const JobAnalysis& analysis,
   throw std::invalid_argument(message);
 }
 
+/// Switch ids index dense per-switch tables (switch diagnosis, the
+/// attribution membership table), so an id outside the topology must be
+/// rejected before any table is sized from it. The walk covers the view's
+/// own hops, offsets[0]..offsets[n], like every switch kernel.
+void check_switch_ids(const FlowView& view, const ClusterTopology& topology) {
+  if (view.switch_offsets.empty() || view.empty()) return;
+  const std::uint32_t limit = topology.num_switches();
+  for (std::uint64_t k = view.switch_offsets[0];
+       k < view.switch_offsets[view.size()]; ++k) {
+    if (view.switch_ids[k] >= limit) {
+      throw std::out_of_range("topology: switch id out of range");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> PrismConfig::validate() const {
@@ -292,6 +307,8 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   PrismMetrics& metrics = prism_metrics();
   const obs::ScopedTimer analyze_timer(metrics.analyze_seconds);
   const obs::Span analyze_span("prism.analyze");
+
+  check_switch_ids(view, topology_);
 
   // A caller that did not arm the session gets sane window geometry: the
   // trace's own end, with no tail hold-back (a one-shot analysis has no

@@ -6,22 +6,27 @@
 #include <utility>
 
 #include "llmprism/flow/view.hpp"
-#include "llmprism/obs/metrics.hpp"
+#include "sorts_counter.hpp"
 
 namespace llmprism {
 
-namespace {
+namespace detail {
 
-/// Process-wide count of *physical* sorts (no-op calls on already-sorted
-/// traces are free and not counted). Looked up once; the handle stays
-/// valid for the registry's lifetime.
-obs::Counter& sorts_counter() {
+obs::Counter& flow_sorts_counter() {
   static obs::Counter& counter = obs::default_registry().counter(
       "llmprism_flowtrace_sorts_total",
       "Physical FlowTrace sorts performed (no-op sorts on already-sorted "
       "traces are not counted)");
   return counter;
 }
+
+}  // namespace detail
+
+namespace {
+
+/// Registered at load time, so a run with no physical sort exports 0.
+[[maybe_unused]] const obs::Counter& registered_sorts_counter =
+    detail::flow_sorts_counter();
 
 }  // namespace
 
@@ -70,14 +75,10 @@ void FlowTrace::append(FlowTrace&& other) {
 }
 
 void FlowTrace::sort() {
-  // Touch the counter handle even on the no-op path so the metric is
-  // registered (and exported as 0) as soon as any trace enters the
-  // pipeline boundary.
-  obs::Counter& sorts = sorts_counter();
   if (is_sorted()) return;
   std::sort(flows_.begin(), flows_.end(), FlowStartTimeLess{});
   sorted_ = true;
-  sorts.inc();
+  detail::flow_sorts_counter().inc();
 }
 
 bool FlowTrace::is_sorted() const {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "llmprism/obs/metrics.hpp"
+#include "sorts_counter.hpp"
 
 namespace llmprism {
 
@@ -18,15 +19,6 @@ obs::Counter& materializations_counter() {
       "llmprism_flow_materializations_total",
       "AoS FlowTrace arrays materialized from columnar flow data (the "
       "zero-copy analysis path performs none)");
-  return counter;
-}
-
-/// Same counter FlowTrace::sort uses: every *physical* sort of flow data,
-/// AoS or columnar, is one tick — the sort-once discipline stays
-/// observable no matter which representation backs the pipeline.
-obs::Counter& sorts_counter() {
-  static obs::Counter& counter = obs::default_registry().counter(
-      "llmprism_flowtrace_sorts_total");
   return counter;
 }
 
@@ -286,7 +278,7 @@ void FlowColumns::sort() {
     sorted = true;
     return;
   }
-  sorts_counter().inc();
+  detail::flow_sorts_counter().inc();
   const FlowView v = view();
   std::vector<std::uint32_t> order(size());
   std::iota(order.begin(), order.end(), 0);

@@ -103,6 +103,24 @@ struct Chunk {
   FlowTrace trace;
 };
 
+/// A chunk naming a GPU or switch outside the topology would make the
+/// shard worker's analysis throw; reject it at decode instead, so it gets
+/// a kError reply and never reaches a queue (DESIGN.md §14).
+void check_topology_ids(const FlowTrace& trace,
+                        const ClusterTopology& topology) {
+  for (const FlowRecord& f : trace) {
+    if (f.src.value() >= topology.num_gpus() ||
+        f.dst.value() >= topology.num_gpus()) {
+      throw std::out_of_range("topology: GPU id out of range");
+    }
+    for (const SwitchId sw : f.switches) {
+      if (sw.value() >= topology.num_switches()) {
+        throw std::out_of_range("topology: switch id out of range");
+      }
+    }
+  }
+}
+
 /// The shard ingest queue (serve/queue.hpp) plus the daemon's telemetry:
 /// backpressure waits, and the cross-shard depth gauge.
 class ChunkQueue {
@@ -402,6 +420,7 @@ struct PrismDaemon::Impl {
           chunk.stream_id = header.stream_id;
           chunk.trace = read_lft_buffer(
               std::as_bytes(std::span(payload.data(), payload.size())));
+          check_topology_ids(chunk.trace, topology);
           frames.fetch_add(1, std::memory_order_relaxed);
           frames_counter().inc();
           flows.fetch_add(chunk.trace.size(), std::memory_order_relaxed);

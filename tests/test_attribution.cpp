@@ -310,32 +310,72 @@ TEST(AttributionUnitTest, StepSelfTimesCountsComputeBeforeSends) {
   EXPECT_NEAR(self[1], 0.035, 1e-9);
 }
 
+FlowRecord hop_flow(std::uint32_t src, std::uint32_t dst, TimeNs at,
+                    std::initializer_list<std::uint32_t> switches) {
+  FlowRecord f;
+  f.start_time = at;
+  f.src = GpuId(src);
+  f.dst = GpuId(dst);
+  f.bytes = 1000;
+  f.duration = kMillisecond;
+  for (const std::uint32_t s : switches) f.switches.push_back(SwitchId(s));
+  return f;
+}
+
+std::vector<SwitchId> switch_ids(std::initializer_list<std::uint32_t> ids) {
+  std::vector<SwitchId> out;
+  for (const std::uint32_t id : ids) out.emplace_back(id);
+  return out;
+}
+
 TEST(AttributionUnitTest, GroupSwitchSetsUseOnlyIntraComponentFlows) {
   // Components {0,1} and {2,3}; a PP-like flow 1->2 must not contribute.
   const std::vector<std::vector<GpuId>> components = {
       {GpuId(0), GpuId(1)}, {GpuId(2), GpuId(3)}};
   FlowTrace trace;
-  const auto flow = [](std::uint32_t src, std::uint32_t dst, TimeNs at,
-                       std::initializer_list<std::uint32_t> switches) {
-    FlowRecord f;
-    f.start_time = at;
-    f.src = GpuId(src);
-    f.dst = GpuId(dst);
-    f.bytes = 1000;
-    f.duration = kMillisecond;
-    for (const std::uint32_t s : switches) f.switches.push_back(SwitchId(s));
-    return f;
-  };
-  trace.add(flow(0, 1, 0, {0, 2, 1}));
-  trace.add(flow(1, 2, 10, {1}));      // cross-component: ignored
-  trace.add(flow(3, 2, 20, {1, 3}));
-  trace.add(flow(1, 0, 30, {0}));
+  trace.add(hop_flow(0, 1, 0, {0, 2, 1}));
+  trace.add(hop_flow(1, 2, 10, {7}));      // cross-component: ignored
+  trace.add(hop_flow(3, 2, 20, {1, 3}));
+  trace.add(hop_flow(1, 0, 30, {0}));
 
-  const auto sets = Attributor::group_switch_sets(trace, components);
+  const FlowColumns columns(trace);
+  const auto sets = Attributor::group_switch_sets(columns.view(), components);
   ASSERT_EQ(sets.size(), 2u);
-  EXPECT_EQ(sets[0],
-            (std::vector<SwitchId>{SwitchId(0), SwitchId(1), SwitchId(2)}));
-  EXPECT_EQ(sets[1], (std::vector<SwitchId>{SwitchId(1), SwitchId(3)}));
+  EXPECT_EQ(sets[0], switch_ids({0, 1, 2}));
+  EXPECT_EQ(sets[1], switch_ids({1, 3}));
+}
+
+TEST(AttributionUnitTest, GroupSwitchSetsEdgeCases) {
+  // Components {0,1}, {2,3} and {4,5}; GPU 9 is in none of them.
+  const std::vector<std::vector<GpuId>> components = {
+      {GpuId(0), GpuId(1)}, {GpuId(2), GpuId(3)}, {GpuId(4), GpuId(5)}};
+  FlowTrace trace;
+  trace.add(hop_flow(0, 1, 0, {5, 5, 5}));  // repeats a switch
+  trace.add(hop_flow(2, 3, 10, {}));        // no hops
+  trace.add(hop_flow(9, 0, 20, {7}));       // src in no component
+  trace.add(hop_flow(1, 9, 30, {8}));       // dst in no component
+  trace.add(hop_flow(4, 5, 40, {2, 63}));   // the highest switch id
+  trace.add(hop_flow(1, 0, 50, {5, 4}));
+
+  const FlowColumns columns(trace);
+  const auto sets = Attributor::group_switch_sets(columns.view(), components);
+  ASSERT_EQ(sets.size(), 3u);
+  EXPECT_EQ(sets[0], switch_ids({4, 5}));
+  EXPECT_TRUE(sets[1].empty());
+  EXPECT_EQ(sets[2], switch_ids({2, 63}));
+
+  // A slice keeps aliasing its parent's hop column; only the slice's own
+  // hops count, so the sets shrink to what rows [0, 2) traverse.
+  const auto sliced =
+      Attributor::group_switch_sets(columns.view().slice(0, 2), components);
+  ASSERT_EQ(sliced.size(), 3u);
+  EXPECT_EQ(sliced[0], switch_ids({5}));
+  EXPECT_TRUE(sliced[1].empty());
+  EXPECT_TRUE(sliced[2].empty());
+
+  // No hops at all (and no components) yields one empty set per component.
+  EXPECT_EQ(Attributor::group_switch_sets(FlowView{}, components).size(), 3u);
+  EXPECT_TRUE(Attributor::group_switch_sets(columns.view(), {}).empty());
 }
 
 }  // namespace

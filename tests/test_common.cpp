@@ -149,6 +149,20 @@ TEST(DisjointSetTest, GroupsWithSingletons) {
   EXPECT_EQ(ds.groups(true).size(), 2u);
 }
 
+TEST(DisjointSetTest, AddAppendsSingletons) {
+  DisjointSet ds(0);
+  EXPECT_EQ(ds.add(), 0u);
+  EXPECT_EQ(ds.add(), 1u);
+  EXPECT_EQ(ds.num_sets(), 2u);
+  ds.unite(0, 1);
+  EXPECT_EQ(ds.add(), 2u);
+  EXPECT_EQ(ds.size(), 3u);
+  EXPECT_EQ(ds.num_sets(), 2u);
+  EXPECT_EQ(ds.find(2), 2u);
+  EXPECT_TRUE(ds.unite(2, 0));
+  EXPECT_EQ(ds.set_size(1), 3u);
+}
+
 TEST(DisjointSetTest, OutOfRangeThrows) {
   DisjointSet ds(3);
   EXPECT_THROW(ds.find(3), std::out_of_range);

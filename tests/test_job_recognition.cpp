@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "llmprism/common/rng.hpp"
+#include "llmprism/flow/view.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
 namespace llmprism {
@@ -142,6 +143,33 @@ TEST(JobRecognizerTest, IntraMachineFlowsDoNotCreateJobs) {
   const auto result = JobRecognizer(t).recognize(trace);
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.jobs[0].machines.size(), 1u);
+}
+
+TEST(JobRecognizerTest, GpuIdsAreBoundedByTopology) {
+  const auto t = topo(2);
+  const std::uint32_t last = t.num_gpus() - 1;  // 15, on machine 1
+  FlowTrace trace;
+  trace.add(flow(t, 0, last));
+  const auto result = JobRecognizer(t).recognize(trace);
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].observed_gpus,
+            (std::vector<GpuId>{GpuId(0), GpuId(last)}));
+  EXPECT_EQ(JobRecognizer(t).recognize(FlowColumns(trace).view()).jobs.size(),
+            1u);
+
+  // One past the last GPU, as src or dst, on either overload.
+  for (const bool as_src : {true, false}) {
+    FlowRecord bad = flow(t, 0, 8);
+    (as_src ? bad.src : bad.dst) = GpuId(t.num_gpus());
+    FlowTrace out_of_range;
+    out_of_range.add(flow(t, 0, 8));
+    out_of_range.add(bad);
+    EXPECT_THROW((void)JobRecognizer(t).recognize(out_of_range),
+                 std::out_of_range);
+    EXPECT_THROW(
+        (void)JobRecognizer(t).recognize(FlowColumns(out_of_range).view()),
+        std::out_of_range);
+  }
 }
 
 TEST(JobRecognizerTest, JobsOrderedByFirstGpu) {

@@ -180,5 +180,38 @@ TEST(PrismDiagnosisIntegrationTest, DetectsDegradedSwitch) {
   EXPECT_TRUE(flagged);
 }
 
+TEST(PrismInputTest, OutOfTopologyIdsThrowOutOfRange) {
+  const ClusterTopology topology = ClusterTopology::build(
+      {.num_machines = 4, .gpus_per_machine = 8, .machines_per_leaf = 2,
+       .num_spines = 2});
+  PrismConfig config;
+  config.num_threads = 1;
+  const Prism prism(topology, config);
+  const auto trace_with = [&](std::uint32_t dst, std::uint32_t sw) {
+    FlowTrace trace;
+    FlowRecord f;
+    f.src = GpuId(0);
+    f.dst = GpuId(dst);
+    f.bytes = 1000;
+    f.duration = kMillisecond;
+    f.switches.push_back(SwitchId(0));
+    f.switches.push_back(SwitchId(sw));
+    trace.add(f);
+    return trace;
+  };
+  const std::uint32_t last_gpu = topology.num_gpus() - 1;
+  const std::uint32_t last_switch = topology.num_switches() - 1;
+  EXPECT_NO_THROW((void)prism.analyze(trace_with(last_gpu, last_switch)));
+  for (const std::uint32_t sw : {topology.num_switches(), 0xFFFFFFF0u}) {
+    const FlowTrace bad = trace_with(last_gpu, sw);
+    EXPECT_THROW((void)prism.analyze(bad), std::out_of_range) << sw;
+    const FlowColumns columns(bad);
+    EXPECT_THROW((void)prism.analyze(columns.view()), std::out_of_range)
+        << sw;
+  }
+  EXPECT_THROW((void)prism.analyze(trace_with(topology.num_gpus(), 0)),
+               std::out_of_range);
+}
+
 }  // namespace
 }  // namespace llmprism

@@ -390,6 +390,57 @@ TEST(DaemonTest, BadHeaderClosesConnectionCorruptChunkDoesNot) {
   EXPECT_EQ(daemon.stats().frame_errors, 2u);
 }
 
+TEST(DaemonTest, OutOfTopologyChunkGetsErrorAndIsNeverQueued) {
+  const ServeFixture& fix = fixture();
+  ServeConfig cfg = serve_config("serve-ids");
+  cfg.snapshot_path.clear();
+  PrismDaemon daemon(fix.sim.topology, cfg);
+  daemon.start();
+
+  // Copies of the first chunk with one flow naming a GPU, then a switch,
+  // outside the topology. Queued, either would make the shard worker's
+  // analysis throw once its window closes.
+  const FlowTrace first = read_lft_buffer(bytes(fix.chunks[0]));
+  ASSERT_FALSE(first.empty());
+  const auto corrupt = [&](auto&& edit) {
+    std::vector<FlowRecord> flows(first.begin(), first.end());
+    edit(flows.front());
+    std::ostringstream os;
+    write_lft(os, FlowTrace(std::move(flows)));
+    return os.str();
+  };
+  const std::string bad_gpu = corrupt([&](FlowRecord& f) {
+    f.dst = GpuId(fix.sim.topology.num_gpus());
+  });
+  const std::string bad_switch = corrupt([](FlowRecord& f) {
+    f.switches.clear();
+    f.switches.push_back(SwitchId(0xFFFFFFF0u));
+  });
+
+  {
+    Client client(cfg.ingest_socket);
+    for (const std::string* bad : {&bad_gpu, &bad_switch}) {
+      const auto err = client.roundtrip(FrameType::kFlowChunk, 3, *bad);
+      ASSERT_TRUE(err.has_value());
+      EXPECT_EQ(err->header.type, FrameType::kError);
+      EXPECT_NE(err->payload.find("out of range"), std::string::npos)
+          << err->payload;
+    }
+    // The stream continues: every good chunk is acked and analyzed.
+    for (const std::string& chunk : fix.chunks) {
+      const auto ok = client.roundtrip(FrameType::kFlowChunk, 3, chunk);
+      ASSERT_TRUE(ok.has_value());
+      EXPECT_EQ(ok->header.type, FrameType::kAck);
+    }
+  }
+  EXPECT_EQ(get(daemon, "/healthz").status, 200);
+  daemon.stop();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.frame_errors, 2u);
+  EXPECT_EQ(stats.flows, fix.sim.trace.size());
+  EXPECT_GE(stats.windows_completed, 2u);
+}
+
 TEST(DaemonTest, RestoredDaemonMatchesUninterruptedRun) {
   const ServeFixture& fix = fixture();
   ASSERT_GE(fix.chunks.size(), 4u);
