@@ -150,6 +150,22 @@ void BM_PrismEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PrismEndToEnd);
 
+// The same end-to-end analysis at an explicit thread count: the 1/2/4
+// series (wall time) that per-layer speedup claims are read against.
+void BM_PrismEndToEndThreads(benchmark::State& state) {
+  const auto& sim = shared_cluster();
+  PrismConfig config;
+  config.num_threads = static_cast<std::size_t>(state.range(0));
+  const Prism prism(sim.topology, config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(prism.analyze(sim.trace));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * sim.trace.size()));
+  state.counters["flows"] = static_cast<double>(sim.trace.size());
+}
+BENCHMARK(BM_PrismEndToEndThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
 // --- columnar stage benches ------------------------------------------------
 // The analysis plane's hot kernels over the shared single-job trace, each
 // isolated on the FlowView it consumes in Prism::analyze_sorted. Together

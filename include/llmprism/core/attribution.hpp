@@ -173,14 +173,17 @@ class Attributor {
  public:
   explicit Attributor(AttributionConfig config = {});
 
-  /// Attribute every alert of one analyzed window. Pure and sequential:
-  /// the same inputs produce the same incidents, bit for bit, regardless
-  /// of how the per-job fan-out that produced them was scheduled.
+  /// Attribute every alert of one analyzed window. Pure: the same inputs
+  /// produce the same incidents, bit for bit, regardless of how the
+  /// per-job fan-out that produced them was scheduled. Jobs run in order
+  /// on the calling thread; the per-flow switch-set pass and the per-rank
+  /// self times run on `pool` when one is given, each task into its own
+  /// slots, so the result is the same at any thread count.
   [[nodiscard]] AttributionResult attribute(
       std::span<const JobAttributionInput> jobs,
       std::span<const SwitchBandwidthAlert> switch_bandwidth_alerts,
-      std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts)
-      const;
+      std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts,
+      ThreadPool* pool = nullptr) const;
 
   // Building blocks, exposed for direct testing.
 
@@ -192,11 +195,13 @@ class Attributor {
 
   /// Switch ids traversed by each DP component's flows (ascending, unique;
   /// one entry per component, aligned with `dp_components`). Reads src/dst
-  /// plus the CSR switch paths; the membership table it builds is
+  /// plus the CSR switch paths; each row chunk (kScatterChunkRows flows,
+  /// or all of them without a pool) builds a membership table of
   /// components x (highest switch id in the job's hops + 1) bytes.
   [[nodiscard]] static std::vector<std::vector<SwitchId>> group_switch_sets(
       const FlowView& job_flows,
-      const std::vector<std::vector<GpuId>>& dp_components);
+      const std::vector<std::vector<GpuId>>& dp_components,
+      ThreadPool* pool = nullptr);
 
  private:
   AttributionConfig config_;

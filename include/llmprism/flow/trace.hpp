@@ -24,6 +24,7 @@
 namespace llmprism {
 
 struct FlowView;
+class ThreadPool;
 
 class FlowTrace {
  public:
@@ -109,11 +110,13 @@ class PairIndex {
 
   PairIndex() = default;
   explicit PairIndex(const FlowTrace& trace);
-  /// Columnar build: radix-partitioned grouping (counting pass + prefix
-  /// sum + stable scatter over hash buckets) instead of per-flow
-  /// unordered_map interning. Produces the identical index — dense ids in
-  /// first-appearance order, positions in trace order within each pair.
-  explicit PairIndex(const FlowView& view);
+  /// Columnar build: radix-partitioned grouping (chunked counting pass +
+  /// prefix sum + stable scatter over hash buckets) instead of per-flow
+  /// unordered_map interning, with the per-bucket sorts and the per-pair
+  /// fill on `pool` when one is given. Produces the identical index at any
+  /// thread count — dense ids in first-appearance order, positions in
+  /// trace order within each pair.
+  explicit PairIndex(const FlowView& view, ThreadPool* pool = nullptr);
 
   [[nodiscard]] std::size_t num_pairs() const { return pairs_.size(); }
   [[nodiscard]] std::size_t num_flows() const { return pair_of_flow_.size(); }

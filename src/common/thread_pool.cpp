@@ -1,5 +1,6 @@
 #include "llmprism/common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -124,6 +125,25 @@ void parallel_for(ThreadPool* pool, std::size_t n,
     return;
   }
   pool->parallel_for(n, fn);
+}
+
+std::size_t num_row_chunks(const ThreadPool* pool, std::size_t n) {
+  if (pool == nullptr || n <= kScatterChunkRows) return 1;
+  return (n + kScatterChunkRows - 1) / kScatterChunkRows;
+}
+
+void for_each_row_chunk(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+  const std::size_t chunks = num_row_chunks(pool, n);
+  if (chunks == 1) {
+    fn(0, 0, n);
+    return;
+  }
+  pool->parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t begin = c * kScatterChunkRows;
+    fn(c, begin, std::min(n, begin + kScatterChunkRows));
+  });
 }
 
 }  // namespace llmprism

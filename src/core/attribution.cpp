@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/time.hpp"
 
 namespace llmprism {
@@ -169,7 +170,7 @@ std::vector<double> Attributor::step_self_times(const GpuTimeline& t) {
 
 std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
     const FlowView& job_flows,
-    const std::vector<std::vector<GpuId>>& dp_components) {
+    const std::vector<std::vector<GpuId>>& dp_components, ThreadPool* pool) {
   std::vector<std::vector<SwitchId>> sets(dp_components.size());
   const std::size_t n = job_flows.size();
   if (job_flows.switch_offsets.empty() || n == 0) return sets;
@@ -178,11 +179,18 @@ std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
   const std::uint64_t* const offsets = job_flows.switch_offsets.data();
   const std::uint32_t* const ids = job_flows.switch_ids.data();
   if (offsets[0] == offsets[n]) return sets;
-  std::uint32_t max_switch = 0;
-  for (std::uint64_t k = offsets[0]; k < offsets[n]; ++k) {
-    max_switch = std::max(max_switch, ids[k]);
-  }
-  const std::size_t slots = std::size_t{max_switch} + 1;
+  const std::size_t chunks = num_row_chunks(pool, n);
+  std::vector<std::uint32_t> chunk_max(chunks, 0);
+  for_each_row_chunk(pool, n, [&](std::size_t c, std::size_t begin,
+                                  std::size_t end) {
+    std::uint32_t top = 0;
+    for (std::uint64_t k = offsets[begin]; k < offsets[end]; ++k) {
+      top = std::max(top, ids[k]);
+    }
+    chunk_max[c] = top;
+  });
+  const std::size_t slots =
+      std::size_t{*std::max_element(chunk_max.begin(), chunk_max.end())} + 1;
 
   // Dense GPU -> component table and one membership byte per (component,
   // switch): no hashing per flow. Row `spill` absorbs every flow that is
@@ -200,32 +208,48 @@ std::vector<std::vector<SwitchId>> Attributor::group_switch_sets(
       comp_of[g.value()] = static_cast<std::uint32_t>(c);
     }
   }
-  std::vector<std::uint8_t> member((dp_components.size() + 1) * slots, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t a = comp_of[std::min(job_flows.src[i], num_gpus)];
-    const std::uint32_t b = comp_of[std::min(job_flows.dst[i], num_gpus)];
-    // Same recovered component on both ends <=> a DP ring flow (PP edges
-    // connect distinct pipeline stages, hence distinct components).
-    std::uint8_t* const row =
-        member.data() + std::size_t{a == b ? a : spill} * slots;
-    for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-      row[ids[k]] = 1;
+  // One membership table per row chunk, so no two chunk tasks write the
+  // same byte; the tables are OR-ed in chunk order below.
+  const std::size_t width = (dp_components.size() + 1) * slots;
+  std::vector<std::vector<std::uint8_t>> member(chunks);
+  for_each_row_chunk(pool, n, [&](std::size_t c, std::size_t begin,
+                                  std::size_t end) {
+    member[c].assign(width, 0);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t a = comp_of[std::min(job_flows.src[i], num_gpus)];
+      const std::uint32_t b = comp_of[std::min(job_flows.dst[i], num_gpus)];
+      // Same recovered component on both ends <=> a DP ring flow (PP edges
+      // connect distinct pipeline stages, hence distinct components).
+      std::uint8_t* const row =
+          member[c].data() + std::size_t{a == b ? a : spill} * slots;
+      for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        row[ids[k]] = 1;
+      }
     }
-  }
-  // Reading back in switch-id order keeps every set ascending and unique.
-  for (std::size_t c = 0; c < sets.size(); ++c) {
-    const std::uint8_t* const row = member.data() + c * slots;
+  });
+  // One task per component: it ORs the later chunks into its own row of
+  // chunk 0's table and reads that row back in switch-id order, which
+  // keeps every set ascending and unique.
+  parallel_for(pool, sets.size(), [&](std::size_t comp) {
+    std::uint8_t* const row = member[0].data() + comp * slots;
+    for (std::size_t c = 1; c < chunks; ++c) {
+      const std::uint8_t* const other = member[c].data() + comp * slots;
+      for (std::size_t sw = 0; sw < slots; ++sw) row[sw] |= other[sw];
+    }
     for (std::size_t sw = 0; sw < slots; ++sw) {
-      if (row[sw] != 0) sets[c].emplace_back(static_cast<std::uint32_t>(sw));
+      if (row[sw] != 0) {
+        sets[comp].emplace_back(static_cast<std::uint32_t>(sw));
+      }
     }
-  }
+  });
   return sets;
 }
 
 AttributionResult Attributor::attribute(
     std::span<const JobAttributionInput> jobs,
     std::span<const SwitchBandwidthAlert> switch_bandwidth_alerts,
-    std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts) const {
+    std::span<const SwitchConcurrencyAlert> switch_concurrency_alerts,
+    ThreadPool* pool) const {
   AttributionResult out;
 
   // Index the cluster-level switch alerts once; every per-job group
@@ -243,8 +267,8 @@ AttributionResult Attributor::attribute(
     const DependencyGraph graph(job);
     std::vector<std::vector<SwitchId>> group_switches;
     if (job.trace != nullptr && job.comm_types != nullptr) {
-      group_switches =
-          group_switch_sets(job.trace->view(), job.comm_types->dp_components);
+      group_switches = group_switch_sets(
+          job.trace->view(), job.comm_types->dp_components, pool);
     }
 
     // --- 1. cluster the cross-group alerts per ring ------------------
@@ -401,13 +425,13 @@ AttributionResult Attributor::attribute(
         flagged_steps.end());
 
     // Per-rank self-time series, computed once per job that has a range
-    // left to trace.
+    // left to trace; one task per rank, each into its own slot.
     std::vector<std::vector<double>> self_times;
     if (!flagged_steps.empty()) {
-      self_times.reserve(job.timelines.size());
-      for (const GpuTimeline& t : job.timelines) {
-        self_times.push_back(step_self_times(t));
-      }
+      self_times.resize(job.timelines.size());
+      parallel_for(pool, job.timelines.size(), [&](std::size_t t) {
+        self_times[t] = step_self_times(job.timelines[t]);
+      });
     }
 
     std::size_t r = 0;

@@ -260,53 +260,54 @@ std::vector<GroupAlert> Diagnoser::cross_group(
 
 namespace {
 
-/// Highest switch id appearing in the view's hops (0 and false when there
-/// are none). CSR offsets are monotone, so the view's hop ids — even for a
-/// slice, whose offsets are absolute into the parent's storage — occupy the
-/// contiguous range switch_ids[offsets[0] .. offsets[size())); one flat
-/// scan over that range replaces the per-flow span walk.
-std::pair<std::uint32_t, bool> max_switch_id(const FlowView& v) {
-  if (v.switch_offsets.empty() || v.empty()) return {0, false};
-  const std::uint64_t lo = v.switch_offsets[0];
-  const std::uint64_t hi = v.switch_offsets[v.size()];
-  if (lo == hi) return {0, false};
-  std::uint32_t max_sw = 0;
-  for (std::uint64_t k = lo; k < hi; ++k) {
-    max_sw = std::max(max_sw, v.switch_ids[k]);
-  }
-  return {max_sw, true};
-}
-
 /// Per-switch CSR layout of a view's hops: the count and prefix-sum half
 /// of every switch kernel's gather, computed once per switch stage and
 /// shared. offsets[s] .. offsets[s + 1] is switch s's slice of a scatter
 /// buffer filled in flow order. The bandwidth kernels skip zero-duration
 /// flows (they have no bandwidth) while the concurrency sweep counts every
-/// flow, so one counting pass yields both layouts.
+/// flow, so one counting pass yields both layouts. The count and both
+/// scatters run chunked on the pool (ChunkedScatter), whose layout is the
+/// serial one at any thread count; the count rows widen to the highest
+/// switch id met, so no separate max-id pass is needed.
 struct SwitchHops {
   std::size_t slots = 0;           ///< highest switch id + 1; 0 = no hops
   std::vector<std::size_t> all;    ///< every flow's hops
   std::vector<std::size_t> timed;  ///< hops of flows with duration > 0
+  ChunkedScatter<std::size_t> all_layout;
+  ChunkedScatter<std::size_t> timed_layout;
 
-  explicit SwitchHops(const FlowView& v) {
-    const auto [max_sw, any] = max_switch_id(v);
-    if (!any) return;
-    slots = static_cast<std::size_t>(max_sw) + 1;
-    all.assign(slots + 1, 0);
-    timed.assign(slots + 1, 0);
+  SwitchHops(const FlowView& v, ThreadPool* pool)
+      : all_layout(pool, v.size(), 0), timed_layout(pool, v.size(), 0) {
+    if (v.switch_offsets.empty() || v.empty()) return;
     // Per-flow hop iteration (not the raw hop column): a sliced view keeps
     // absolute CSR offsets over the parent's hop storage.
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      const bool has_bandwidth = v.duration_ns[i] > 0;
-      for (const std::uint32_t sw : v.switches(i)) {
-        ++all[sw + 1];
-        if (has_bandwidth) ++timed[sw + 1];
+    all_layout.for_each_chunk([&](std::size_t c, std::size_t begin,
+                                  std::size_t end) {
+      std::vector<std::size_t>& all_counts = all_layout.counts(c);
+      std::vector<std::size_t>& timed_counts = timed_layout.counts(c);
+      for (std::size_t i = begin; i < end; ++i) {
+        const bool has_bandwidth = v.duration_ns[i] > 0;
+        for (const std::uint32_t sw : v.switches(i)) {
+          if (sw >= all_counts.size()) {
+            const std::size_t width =
+                std::max<std::size_t>(std::size_t{sw} + 1,
+                                      2 * all_counts.size());
+            all_counts.resize(width, 0);
+            timed_counts.resize(width, 0);
+          }
+          ++all_counts[sw];
+          if (has_bandwidth) ++timed_counts[sw];
+        }
       }
-    }
-    for (std::size_t s = 0; s < slots; ++s) {
-      all[s + 1] += all[s];
-      timed[s + 1] += timed[s];
-    }
+    });
+    all = all_layout.prefix();
+    timed = timed_layout.prefix();
+    // Rows grow geometrically; trailing switches no hop named are empty,
+    // so cutting them leaves every offset valid.
+    slots = all.size() - 1;
+    while (slots > 0 && all[slots - 1] == all[slots]) --slots;
+    all.resize(slots + 1);
+    timed.resize(slots + 1);
   }
 };
 
@@ -321,14 +322,15 @@ void switch_bandwidth_stats(
     std::vector<std::pair<SwitchId, double>>* percentiles) {
   if (hops.slots == 0) return;
   std::vector<double> samples(hops.timed[hops.slots]);
-  {
-    std::vector<std::size_t> cursor(hops.timed.begin(), hops.timed.end() - 1);
-    for (std::size_t i = 0; i < v.size(); ++i) {
+  hops.timed_layout.scatter([&](std::size_t, std::size_t begin,
+                                std::size_t end,
+                                std::vector<std::size_t>& cursor) {
+    for (std::size_t i = begin; i < end; ++i) {
       if (v.duration_ns[i] <= 0) continue;
       const double bw = v.bandwidth_gbps(i);
       for (const std::uint32_t sw : v.switches(i)) samples[cursor[sw]++] = bw;
     }
-  }
+  });
   std::vector<double> mean(means != nullptr ? hops.slots : 0);
   std::vector<double> pct(percentiles != nullptr ? hops.slots : 0);
   parallel_for(pool, hops.slots, [&](std::size_t sw) {
@@ -390,18 +392,19 @@ std::vector<SwitchConcurrencyAlert> switch_concurrency_alerts(
   const std::vector<std::size_t>& offsets = hops.all;
   std::vector<TimeNs> starts(offsets[hops.slots]);
   std::vector<TimeNs> ends(offsets[hops.slots]);
-  {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t i = 0; i < v.size(); ++i) {
+  hops.all_layout.scatter([&](std::size_t, std::size_t begin,
+                              std::size_t end,
+                              std::vector<std::size_t>& cursor) {
+    for (std::size_t i = begin; i < end; ++i) {
       const TimeNs start = v.start_ns[i];
-      const TimeNs end = v.end_ns(i);
+      const TimeNs finish = v.end_ns(i);
       for (const std::uint32_t sw : v.switches(i)) {
         starts[cursor[sw]] = start;
-        ends[cursor[sw]] = end;
+        ends[cursor[sw]] = finish;
         ++cursor[sw];
       }
     }
-  }
+  });
   struct Peak {
     std::size_t flows = 0;
     TimeNs at = 0;
@@ -457,8 +460,8 @@ std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
 std::vector<std::pair<SwitchId, double>> Diagnoser::per_switch_bandwidth(
     const FlowView& dp_flows) {
   std::vector<std::pair<SwitchId, double>> out;
-  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows), 0.0, nullptr, &out,
-                         nullptr);
+  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows, nullptr), 0.0,
+                         nullptr, &out, nullptr);
   return out;
 }
 
@@ -466,8 +469,8 @@ std::vector<std::pair<SwitchId, double>>
 Diagnoser::per_switch_bandwidth_percentile(const FlowView& dp_flows,
                                            double p) {
   std::vector<std::pair<SwitchId, double>> out;
-  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows), p, nullptr, nullptr,
-                         &out);
+  switch_bandwidth_stats(dp_flows, SwitchHops(dp_flows, nullptr), p, nullptr,
+                         nullptr, &out);
   return out;
 }
 
@@ -493,14 +496,14 @@ std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
 
 std::vector<SwitchConcurrencyAlert> Diagnoser::switch_concurrency(
     const FlowView& dp_flows) const {
-  return switch_concurrency_alerts(dp_flows, SwitchHops(dp_flows),
+  return switch_concurrency_alerts(dp_flows, SwitchHops(dp_flows, nullptr),
                                    config_.switch_dp_flow_limit, nullptr);
 }
 
 SwitchDiagnosis Diagnoser::switch_level(const FlowView& dp_flows,
                                         KSigmaStats* stats,
                                         ThreadPool* pool) const {
-  const SwitchHops hops(dp_flows);
+  const SwitchHops hops(dp_flows, pool);
   SwitchDiagnosis out;
   std::vector<std::pair<SwitchId, double>> health;
   switch_bandwidth_stats(dp_flows, hops, config_.switch_health_percentile,

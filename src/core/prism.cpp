@@ -341,12 +341,14 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             " cross-machine clusters",
             recognition_reused ? " (partition reused)" : "");
 
-  // Route each flow to its job in one ordered pass over the trace: a
-  // dense interned GPU->job table (one load per flow, no hash probes),
-  // src lookup with dst fallback. A recognition-cache hit also reuses the
-  // cached dense table instead of re-interning every job's GPU set.
+  // Route each flow to its job in chunked passes over the trace: a dense
+  // interned GPU->job table (one load per flow, no hash probes), src
+  // lookup with dst fallback. Routing also records each row's job and its
+  // position there, which the DP gather reads after the fan-out. A
+  // recognition-cache hit reuses the cached dense table instead of
+  // re-interning every job's GPU set.
   const std::size_t num_jobs = report.recognition.jobs.size();
-  std::vector<FlowColumns> job_columns;
+  FlowRouter::Result routed;
   {
     const obs::Span span("prism.route");
     std::optional<FlowRouter> local_router;
@@ -355,8 +357,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
             ? session->cached_router()
             : local_router.emplace(
                   std::span<const RecognizedJob>(report.recognition.jobs));
-    FlowRouter::Result routed = router.route(view);
-    job_columns = std::move(routed.job_columns);
+    routed = router.route(view, pool_.get());
     report.telemetry.flows_routed = routed.flows_routed;
     report.telemetry.flows_routed_via_dst = routed.flows_routed_via_dst;
     report.telemetry.flows_unattributed = routed.flows_unattributed;
@@ -379,12 +380,13 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   const Diagnoser diagnoser(config_.diagnosis);
 
   // (2)-(4a) per-job stage, one task per recognized job. Each task owns its
-  // slot in `analyses` / `job_dp_flows` / the two stats vectors and touches
-  // nothing else, so the result cannot depend on scheduling; DP flows and
-  // telemetry are merged in job-id order below, which keeps the
-  // cluster-wide stage's input byte-identical to the sequential path.
+  // slot in `analyses` / `job_flow_types` / the two stats vectors and
+  // touches nothing else, so the result cannot depend on scheduling; DP
+  // flows are gathered in input order and telemetry is folded in job-id
+  // order below, which keeps the cluster-wide stage's input byte-identical
+  // to the sequential path.
   std::vector<JobAnalysis> analyses(num_jobs);
-  std::vector<FlowColumns> job_dp_flows(num_jobs);
+  std::vector<std::vector<CommType>> job_flow_types(num_jobs);
   std::vector<SegmenterStats> timeline_stats(num_jobs);
   std::vector<KSigmaStats> ksigma_stats(num_jobs);
   parallel_for(pool_.get(), num_jobs, [&](std::size_t j) {
@@ -392,7 +394,7 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
     JobAnalysis& analysis = analyses[j];
     analysis.id = JobId(static_cast<std::uint32_t>(j));
     analysis.job = report.recognition.jobs[j];
-    analysis.trace = std::move(job_columns[j]);
+    analysis.trace = std::move(routed.job_columns[j]);
     // Routing preserved the sorted input's order, so this is O(1) on the
     // cached flag — no per-job re-sort.
     assert(analysis.trace.is_sorted() &&
@@ -403,10 +405,14 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
 
     // (2) parallelism strategies, over the job's CSR pair index; the
     // per-flow types come back as a dense vector (one CommType per trace
-    // position) shared with DP collection and timeline reconstruction.
+    // position) shared with the DP gather and timeline reconstruction.
     // With a session, last window's classifications serve as warm priors.
-    const PairIndex pair_index(job_view);
-    std::vector<CommType> flow_types;
+    PairIndex pair_index;
+    {
+      const obs::Span span("job.pair_index", j);
+      pair_index = PairIndex(job_view, pool_.get());
+    }
+    std::vector<CommType>& flow_types = job_flow_types[j];
     {
       const obs::Span span("job.comm_type", j);
       CommTypeCarry* const carry =
@@ -419,14 +425,6 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
       analysis.comm_types = identifier.identify(job_view, pair_index,
                                                 &flow_types, carry,
                                                 pool_.get());
-    }
-
-    // Collect this job's DP flows for cluster-wide switch diagnosis; the
-    // trace is sorted, so this gathered subsequence is born sorted too.
-    for (std::size_t i = 0; i < job_view.size(); ++i) {
-      if (flow_types[i] == CommType::kDP) {
-        job_dp_flows[j].append_row(job_view, i);
-      }
     }
 
     // (3) timelines + (4) job-level diagnosis
@@ -475,11 +473,17 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
   });
   report.jobs = std::move(analyses);
 
-  // Deterministic merge: a k-way merge of the per-job sorted DP runs,
-  // ties resolved to the lower job id — O(N log J) and zero re-sorting,
-  // independent of task completion order.
-  const FlowColumns all_dp_flows =
-      FlowColumns::merge_sorted_runs(std::move(job_dp_flows));
+  // Every job's DP flows for cluster-wide switch diagnosis, gathered in
+  // input order: on the sorted input that is exactly the k-way merge of
+  // the per-job DP runs with ties to the lower job id (rows that tie share
+  // src and dst, hence their job), without materializing the runs.
+  FlowColumns all_dp_flows;
+  {
+    const obs::Span span("prism.dp_gather");
+    all_dp_flows = FlowRouter::gather_dp_flows(
+        view, routed, std::span<const std::vector<CommType>>(job_flow_types),
+        pool_.get());
+  }
   for (std::size_t j = 0; j < num_jobs; ++j) {
     fold_job_telemetry(report.telemetry, report.jobs[j], timeline_stats[j],
                        ksigma_stats[j]);
@@ -501,8 +505,9 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
 
   // (5) root-cause attribution: propagate blame backwards from every
   // alert over the recovered dependency graph. Sequential over the
-  // already-merged per-job results, so it is trivially thread-count-
-  // invariant (the fan-out above produced identical inputs).
+  // already-merged per-job results; only its per-flow and per-rank
+  // kernels run on the pool, each into its own slots, so it stays
+  // thread-count-invariant (the fan-out above produced identical inputs).
   if (config_.attribute && config_.reconstruct_timelines) {
     const obs::Span span("prism.attribute");
     std::vector<JobAttributionInput> inputs;
@@ -517,9 +522,9 @@ PrismReport Prism::analyze_sorted(const FlowView& view,
           .group_alerts = job.group_alerts});
     }
     const Attributor attributor(config_.attribution);
-    report.attribution =
-        attributor.attribute(inputs, report.switch_bandwidth_alerts,
-                             report.switch_concurrency_alerts);
+    report.attribution = attributor.attribute(
+        inputs, report.switch_bandwidth_alerts,
+        report.switch_concurrency_alerts, pool_.get());
     report.telemetry.incidents = report.attribution.incidents.size();
     report.telemetry.alerts_explained =
         report.attribution.telemetry.alerts_explained;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 
 #include "llmprism/common/thread_pool.hpp"
@@ -48,6 +51,30 @@ CommType type_of(const FlowRecord& f,
   return it != types.end() ? it->second : CommType::kPP;
 }
 
+/// Uninitialized storage for the per-GPU event gather: the scatter
+/// constructs every slot exactly once, so the 2N-event buffer is never
+/// zero-filled first.
+class EventBuffer {
+ public:
+  explicit EventBuffer(std::size_t n)
+      : data_(n == 0 ? nullptr : std::allocator<TimelineEvent>{}.allocate(n)),
+        size_(n) {}
+  ~EventBuffer() {
+    if (data_ != nullptr) {
+      std::allocator<TimelineEvent>{}.deallocate(data_, size_);
+    }
+  }
+  EventBuffer(const EventBuffer&) = delete;
+  EventBuffer& operator=(const EventBuffer&) = delete;
+
+  [[nodiscard]] TimelineEvent* data() const { return data_; }
+
+ private:
+  static_assert(std::is_trivially_destructible_v<TimelineEvent>);
+  TimelineEvent* data_;
+  std::size_t size_;
+};
+
 /// One GPU's share of a carry-aware reconstruction: its (pre-resolved)
 /// per-GPU carry entry and private copies of the TimelineCarry call
 /// counters. Pre-resolving the map entry and privatizing the counters is
@@ -66,7 +93,7 @@ struct CarrySlot {
 /// carried previous step end, and a trailing near-boundary burst is held
 /// back instead of emitted; the null-context path is the cold behavior,
 /// bit for bit.
-GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
+GpuTimeline assemble(GpuId gpu, std::span<TimelineEvent> events,
                      const TimelineConfig& config,
                      SegmenterStats* segmenter_stats = nullptr,
                      const TimelineCarryContext* ctx = nullptr,
@@ -74,14 +101,21 @@ GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
   GpuTimeline timeline;
   timeline.gpu = gpu;
 
+  // The caller's slice is sorted in place; only carried-in events force a
+  // copy (the slice cannot grow).
+  std::span<TimelineEvent> comm_events = events;
+  std::vector<TimelineEvent> with_held;
   GpuStepCarry* carry = nullptr;
   if (ctx != nullptr && slot != nullptr && slot->carry != nullptr) {
     carry = slot->carry;
     if (!carry->held_events.empty()) {
       ++slot->steps_carried_in;
-      comm_events.insert(comm_events.end(), carry->held_events.begin(),
-                         carry->held_events.end());
+      with_held.reserve(events.size() + carry->held_events.size());
+      with_held.assign(events.begin(), events.end());
+      with_held.insert(with_held.end(), carry->held_events.begin(),
+                       carry->held_events.end());
       carry->held_events.clear();
+      comm_events = with_held;
     }
   }
 
@@ -193,7 +227,7 @@ GpuTimeline assemble(GpuId gpu, std::vector<TimelineEvent> comm_events,
 /// match the sequential loop exactly.
 std::vector<GpuTimeline> assemble_all(
     std::span<const std::uint32_t> gpu_ids,
-    const std::function<std::vector<TimelineEvent>(std::uint32_t)>& events_of,
+    const std::function<std::span<TimelineEvent>(std::uint32_t)>& events_of,
     const TimelineConfig& config, SegmenterStats* segmenter_stats,
     const TimelineCarryContext* ctx, ThreadPool* pool) {
   const std::size_t n = gpu_ids.size();
@@ -232,7 +266,7 @@ GpuTimeline TimelineReconstructor::reconstruct(
     if (f.src != gpu && f.dst != gpu) continue;
     comm_events.push_back(make_event(f, gpu, type_of(f, types)));
   }
-  return assemble(gpu, std::move(comm_events), config_);
+  return assemble(gpu, comm_events, config_);
 }
 
 std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
@@ -284,51 +318,72 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
     std::sort(carry_gpus.begin(), carry_gpus.end());
   }
 
-  std::uint32_t max_gpu = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_gpu = std::max({max_gpu, view.src[i], view.dst[i]});
-  }
-  for (const std::uint32_t g : carry_gpus) max_gpu = std::max(max_gpu, g);
   if (n == 0 && carry_gpus.empty()) return {};
 
-  // Dense counting gather: per-GPU event counts over the src/dst columns,
-  // prefix sum, scatter. Flow order is preserved per GPU; assemble()
-  // re-sorts anyway. Falls back to hash bucketing only if the id space is
-  // wildly sparse relative to the window (never for cluster-dense ids).
-  const std::size_t span_size = static_cast<std::size_t>(max_gpu) + 1;
-  if (span_size <= 8 * (2 * n + carry_gpus.size()) + 1024) {
-    std::vector<std::uint32_t> counts(span_size + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++counts[view.src[i] + 1];
-      ++counts[view.dst[i] + 1];
-    }
-    std::vector<std::uint8_t> present(span_size, 0);
-    for (const std::uint32_t g : carry_gpus) present[g] = 1;
-    for (std::size_t g = 0; g < span_size; ++g) {
-      if (counts[g + 1] != 0) present[g] = 1;
-      counts[g + 1] += counts[g];
-    }
-    std::vector<TimelineEvent> flat(2 * n);
-    {
-      std::vector<std::uint32_t> cursor(counts.begin(), counts.end() - 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        flat[cursor[view.src[i]]++] =
-            make_event(view, i, view.src[i], flow_types[i]);
-        flat[cursor[view.dst[i]]++] =
-            make_event(view, i, view.dst[i], flow_types[i]);
+  // Dense counting gather, chunked on the pool: per-GPU event counts over
+  // the src/dst columns (the count rows widen to the highest id met, which
+  // folds the max-id pass into the count), prefix, scatter. Flow order is
+  // preserved per GPU; assemble() sorts each GPU's slice in place. Falls
+  // back to hash bucketing only if the id space is wildly sparse relative
+  // to the window (never for cluster-dense ids).
+  const std::size_t dense_limit = 8 * (2 * n + carry_gpus.size()) + 1024;
+  const std::size_t carry_span =
+      carry_gpus.empty() ? 0 : std::size_t{carry_gpus.back()} + 1;
+  if (carry_span <= dense_limit) {
+    ChunkedScatter<std::uint32_t> layout(pool, n, carry_span);
+    std::vector<std::uint8_t> sparse(layout.num_chunks(), 0);
+    layout.for_each_chunk([&](std::size_t c, std::size_t begin,
+                              std::size_t end) {
+      std::vector<std::uint32_t>& counts = layout.counts(c);
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t s = view.src[i];
+        const std::uint32_t d = view.dst[i];
+        const std::size_t top = std::max(s, d);
+        if (top >= counts.size()) {
+          if (top >= dense_limit) {
+            sparse[c] = 1;
+            return;
+          }
+          counts.resize(std::min(dense_limit,
+                                 std::max(top + 1, 2 * counts.size())),
+                        0);
+        }
+        ++counts[s];
+        ++counts[d];
       }
+    });
+    if (std::find(sparse.begin(), sparse.end(), 1) == sparse.end()) {
+      const std::vector<std::uint32_t> offsets = layout.prefix();
+      const std::size_t span_size = layout.num_buckets();
+      EventBuffer flat(2 * n);
+      TimelineEvent* const out = flat.data();
+      layout.scatter([&](std::size_t, std::size_t begin, std::size_t end,
+                         std::vector<std::uint32_t>& cursor) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint32_t s = view.src[i];
+          const std::uint32_t d = view.dst[i];
+          std::construct_at(out + cursor[s]++,
+                            make_event(view, i, s, flow_types[i]));
+          std::construct_at(out + cursor[d]++,
+                            make_event(view, i, d, flow_types[i]));
+        }
+      });
+      std::vector<std::uint8_t> carried(span_size, 0);
+      for (const std::uint32_t g : carry_gpus) carried[g] = 1;
+      std::vector<std::uint32_t> gpu_ids;
+      for (std::size_t g = 0; g < span_size; ++g) {
+        if (offsets[g + 1] != offsets[g] || carried[g] != 0) {
+          gpu_ids.push_back(static_cast<std::uint32_t>(g));
+        }
+      }
+      return assemble_all(
+          gpu_ids,
+          [&](std::uint32_t g) {
+            return std::span<TimelineEvent>(out + offsets[g],
+                                            offsets[g + 1] - offsets[g]);
+          },
+          config_, segmenter_stats, carry_ctx, pool);
     }
-    std::vector<std::uint32_t> gpu_ids;
-    for (std::size_t g = 0; g < span_size; ++g) {
-      if (present[g]) gpu_ids.push_back(static_cast<std::uint32_t>(g));
-    }
-    return assemble_all(
-        gpu_ids,
-        [&](std::uint32_t g) {
-          return std::vector<TimelineEvent>(flat.begin() + counts[g],
-                                            flat.begin() + counts[g + 1]);
-        },
-        config_, segmenter_stats, carry_ctx, pool);
   }
 
   std::unordered_map<GpuId, std::vector<TimelineEvent>> per_gpu;
@@ -349,7 +404,7 @@ std::vector<GpuTimeline> TimelineReconstructor::reconstruct_all(
   return assemble_all(
       gpus,
       [&](std::uint32_t g) {
-        return std::move(per_gpu.find(GpuId(g))->second);
+        return std::span<TimelineEvent>(per_gpu.find(GpuId(g))->second);
       },
       config_, segmenter_stats, carry_ctx, pool);
 }

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/flow/view.hpp"
 #include "sorts_counter.hpp"
 
@@ -225,7 +227,7 @@ inline std::uint64_t mix64(std::uint64_t k) {
 
 }  // namespace
 
-PairIndex::PairIndex(const FlowView& view) {
+PairIndex::PairIndex(const FlowView& view, ThreadPool* pool) {
   const std::size_t n = view.size();
   pair_of_flow_.resize(n);
   if (n == 0) {
@@ -234,88 +236,138 @@ PairIndex::PairIndex(const FlowView& view) {
   }
 
   // 1) Radix partition flow positions by the high bits of the mixed pair
-  //    key: one counting pass, prefix sum, stable scatter. Each bucket
-  //    then holds a cache-sized slice to group, instead of the whole trace
-  //    hammering one hash table.
+  //    key: a chunked count, prefix and scatter. The bucket count depends
+  //    on n alone, and a ChunkedScatter places every row where the serial
+  //    stable scatter would, so each bucket lists its positions in trace
+  //    order at any thread count. Each bucket then holds a cache-sized
+  //    slice to group, instead of the whole trace hammering one hash table.
   const std::size_t want = std::max<std::size_t>(std::size_t{1}, n / 48);
   const std::size_t num_buckets =
       std::min<std::size_t>(std::size_t{1} << 16, std::bit_ceil(want));
   const int shift = 64 - std::countr_zero(num_buckets);
+  const auto bucket_of = [shift](std::uint64_t key) -> std::size_t {
+    return shift >= 64 ? 0 : mix64(key) >> shift;
+  };
 
   struct Entry {
     std::uint64_t key;
     std::uint32_t pos;
   };
   std::vector<std::uint64_t> keys(n);
-  std::vector<std::uint32_t> bucket_counts(num_buckets + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = view.pair_key(i);
-    ++bucket_counts[(shift >= 64 ? 0 : mix64(keys[i]) >> shift) + 1];
-  }
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    bucket_counts[b + 1] += bucket_counts[b];
-  }
-  std::vector<Entry> scatter(n);
-  {
-    std::vector<std::uint32_t> cursor(bucket_counts.begin(),
-                                      bucket_counts.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t b = shift >= 64 ? 0 : mix64(keys[i]) >> shift;
-      scatter[cursor[b]++] = {keys[i], static_cast<std::uint32_t>(i)};
+  ChunkedScatter<std::uint32_t> layout(pool, n, num_buckets);
+  layout.for_each_chunk([&](std::size_t c, std::size_t begin,
+                            std::size_t end) {
+    std::uint32_t* const counts = layout.counts(c).data();
+    for (std::size_t i = begin; i < end; ++i) {
+      keys[i] = view.pair_key(i);
+      ++counts[bucket_of(keys[i])];
     }
-  }
+  });
+  const std::vector<std::uint32_t> bucket_offsets = layout.prefix();
+  std::vector<Entry> scatter(n);
+  layout.scatter([&](std::size_t, std::size_t begin, std::size_t end,
+                     std::vector<std::uint32_t>& cursor) {
+    for (std::size_t i = begin; i < end; ++i) {
+      scatter[cursor[bucket_of(keys[i])]++] = {
+          keys[i], static_cast<std::uint32_t>(i)};
+    }
+  });
 
-  // 2) Group each bucket by key. The scatter was stable, so after sorting
-  //    by (key, pos) every run of equal keys lists that pair's positions
-  //    in trace order, and the run head is the pair's first appearance.
+  // 2) Group each bucket by key, one task per bucket group. After sorting
+  //    by (key, pos) every run of equal keys lists that pair's positions in
+  //    trace order, and the run head is the pair's first appearance.
   struct Run {
     std::uint32_t begin;  ///< offset into `scatter`
     std::uint32_t count;
   };
-  std::vector<Run> runs;
-  for (std::size_t b = 0; b < num_buckets; ++b) {
-    const std::size_t lo = bucket_counts[b];
-    const std::size_t hi = bucket_counts[b + 1];
-    if (lo == hi) continue;
-    std::sort(scatter.begin() + lo, scatter.begin() + hi,
-              [](const Entry& a, const Entry& c) {
-                if (a.key != c.key) return a.key < c.key;
-                return a.pos < c.pos;
-              });
-    std::size_t run_begin = lo;
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      if (i == hi || scatter[i].key != scatter[run_begin].key) {
-        runs.push_back({static_cast<std::uint32_t>(run_begin),
-                        static_cast<std::uint32_t>(i - run_begin)});
-        run_begin = i;
+  constexpr std::size_t kBucketsPerTask = 64;
+  const std::size_t tasks = (num_buckets + kBucketsPerTask - 1) /
+                            kBucketsPerTask;
+  std::vector<std::vector<Run>> task_runs(tasks);
+  std::vector<std::uint32_t> bucket_runs(num_buckets + 1, 0);
+  parallel_for(pool, tasks, [&](std::size_t t) {
+    const std::size_t b_end = std::min(num_buckets, (t + 1) * kBucketsPerTask);
+    for (std::size_t b = t * kBucketsPerTask; b < b_end; ++b) {
+      const std::size_t lo = bucket_offsets[b];
+      const std::size_t hi = bucket_offsets[b + 1];
+      if (lo == hi) continue;
+      // (key, pos) is a total order, so skipping the sort of an already
+      // ordered bucket (one pair: the stable scatter left it in position
+      // order) gives the same bucket.
+      const auto entry_less = [](const Entry& a, const Entry& c) {
+        if (a.key != c.key) return a.key < c.key;
+        return a.pos < c.pos;
+      };
+      if (!std::is_sorted(scatter.begin() + lo, scatter.begin() + hi,
+                          entry_less)) {
+        std::sort(scatter.begin() + lo, scatter.begin() + hi, entry_less);
+      }
+      std::size_t run_begin = lo;
+      for (std::size_t i = lo + 1; i <= hi; ++i) {
+        if (i == hi || scatter[i].key != scatter[run_begin].key) {
+          task_runs[t].push_back({static_cast<std::uint32_t>(run_begin),
+                                  static_cast<std::uint32_t>(i - run_begin)});
+          ++bucket_runs[b + 1];
+          run_begin = i;
+        }
       }
     }
+  });
+  // Runs in bucket order; bucket b's runs are [bucket_runs[b],
+  // bucket_runs[b + 1]).
+  std::vector<Run> runs;
+  for (const std::vector<Run>& r : task_runs) {
+    runs.insert(runs.end(), r.begin(), r.end());
+  }
+  for (std::size_t b = 0; b < num_buckets; ++b) {
+    bucket_runs[b + 1] += bucket_runs[b];
   }
 
-  // 3) Dense ids in first-appearance order: sort runs by their head
-  //    position (cost is O(P log P) over pairs, not flows).
-  std::sort(runs.begin(), runs.end(), [&](const Run& a, const Run& b) {
-    return scatter[a.begin].pos < scatter[b.begin].pos;
-  });
-
+  // 3) Dense ids in first-appearance order: rank runs by their head
+  //    position (cost is O(P log P) over pairs, not flows; head positions
+  //    are distinct, so the order is total).
+  std::vector<std::uint32_t> run_of_id(runs.size());
+  std::iota(run_of_id.begin(), run_of_id.end(), 0u);
+  std::sort(run_of_id.begin(), run_of_id.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return scatter[runs[a].begin].pos < scatter[runs[b].begin].pos;
+            });
+  std::vector<std::uint32_t> id_of_run(runs.size());
   pairs_.reserve(runs.size());
   id_of_.reserve(runs.size());
   offsets_.assign(runs.size() + 1, 0);
-  positions_.resize(n);
   for (std::size_t id = 0; id < runs.size(); ++id) {
-    const Run& run = runs[id];
+    const Run& run = runs[run_of_id[id]];
+    id_of_run[run_of_id[id]] = static_cast<std::uint32_t>(id);
     const std::uint64_t key = scatter[run.begin].key;
     const GpuPair p(GpuId(static_cast<std::uint32_t>(key >> 32)),
                     GpuId(static_cast<std::uint32_t>(key)));
     pairs_.push_back(p);
     id_of_.emplace(p, static_cast<std::uint32_t>(id));
     offsets_[id + 1] = offsets_[id] + run.count;
+  }
+
+  // 4) Positions: each pair copies its run into its own contiguous slice.
+  positions_.resize(n);
+  parallel_for(pool, runs.size(), [&](std::size_t id) {
+    const Run& run = runs[run_of_id[id]];
     std::size_t cursor = offsets_[id];
     for (std::uint32_t e = run.begin; e < run.begin + run.count; ++e) {
       positions_[cursor++] = scatter[e].pos;
-      pair_of_flow_[scatter[e].pos] = static_cast<std::uint32_t>(id);
     }
-  }
+  });
+  // 5) pair_of_flow_ by row chunk (a per-pair fill would interleave its
+  //    writes with every other pair's): each row finds its key among its
+  //    bucket's runs, usually the only one.
+  for_each_row_chunk(pool, n, [&](std::size_t, std::size_t begin,
+                                  std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t b = bucket_of(keys[i]);
+      std::uint32_t r = bucket_runs[b];
+      while (scatter[runs[r].begin].key != keys[i]) ++r;
+      pair_of_flow_[i] = id_of_run[r];
+    }
+  });
 }
 
 std::unordered_map<SwitchId, std::vector<std::size_t>> build_switch_index(

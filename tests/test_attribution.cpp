@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "llmprism/common/rng.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/attribution.hpp"
 #include "llmprism/core/prism.hpp"
 #include "llmprism/parallelism/config.hpp"
@@ -376,6 +380,65 @@ TEST(AttributionUnitTest, GroupSwitchSetsEdgeCases) {
   // No hops at all (and no components) yields one empty set per component.
   EXPECT_EQ(Attributor::group_switch_sets(FlowView{}, components).size(), 3u);
   EXPECT_TRUE(Attributor::group_switch_sets(columns.view(), {}).empty());
+}
+
+// Per-chunk membership tables OR-ed in chunk order must give the serial
+// sets: a job spanning several row chunks, a switch only the last chunk's
+// flows cross, a component whose flows all sit in the first chunk, and
+// endpoints in no component.
+TEST(AttributionUnitTest, GroupSwitchSetsChunkedMatchesSerial) {
+  std::vector<std::vector<GpuId>> components(8);
+  for (std::uint32_t g = 0; g < 32; ++g) components[g / 4].emplace_back(g);
+  Rng rng(21);
+  FlowTrace trace;
+  const std::size_t n = 3 * kScatterChunkRows + 77;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto comp = static_cast<std::uint32_t>(rng.uniform_int(0, 6));
+    if (i < 100) comp = 7;     // component 7 only in the first chunk
+    const bool tail = i + 10 >= n;
+    if (tail) comp = 3;        // the only flows that cross switch 99
+    const auto src =
+        4 * comp + static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    auto dst = 4 * comp + static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    if (!tail && rng.bernoulli(0.1)) {
+      dst = static_cast<std::uint32_t>(rng.uniform_int(0, 35));
+    }
+    FlowRecord f = hop_flow(src, dst, static_cast<TimeNs>(i), {});
+    const auto hops = rng.uniform_int(0, 3);
+    for (std::int64_t h = 0; h < hops; ++h) {
+      f.switches.push_back(
+          SwitchId(static_cast<std::uint32_t>(rng.uniform_int(0, 40))));
+    }
+    if (tail) f.switches.push_back(SwitchId(99));
+    trace.add(f);
+  }
+  const FlowColumns columns(trace);
+  ThreadPool pool(3);
+  for (const bool sliced : {false, true}) {
+    SCOPED_TRACE(sliced ? "slice" : "whole view");
+    const FlowView view =
+        sliced ? columns.view().slice(50, n - 3) : columns.view();
+    // Brute-force reference: every intra-component flow's switches.
+    std::vector<std::set<std::uint32_t>> want(components.size());
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      const std::uint32_t a = view.src[i] / 4;
+      const std::uint32_t b = view.dst[i] / 4;
+      if (a != b || a >= components.size()) continue;
+      for (const std::uint32_t sw : view.switches(i)) want[a].insert(sw);
+    }
+    const auto serial = Attributor::group_switch_sets(view, components);
+    const auto pooled = Attributor::group_switch_sets(view, components, &pool);
+    ASSERT_EQ(serial.size(), components.size());
+    EXPECT_EQ(pooled, serial);
+    for (std::size_t c = 0; c < components.size(); ++c) {
+      SCOPED_TRACE("component " + std::to_string(c));
+      std::vector<SwitchId> expected;
+      for (const std::uint32_t sw : want[c]) expected.emplace_back(sw);
+      EXPECT_EQ(serial[c], expected);
+    }
+    EXPECT_EQ(serial[3].back(), SwitchId(99));
+    EXPECT_FALSE(serial[7].empty());
+  }
 }
 
 }  // namespace

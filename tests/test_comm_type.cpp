@@ -33,14 +33,14 @@ void add_pair_flows(FlowTrace& trace, std::uint32_t a, std::uint32_t b,
 }
 
 TEST(CommTypeIdentifierTest, RejectsBadTolerance) {
-  EXPECT_THROW(CommTypeIdentifier({.size_tolerance = -0.1}),
+  EXPECT_THROW(CommTypeIdentifier({.segmenter = {}, .size_tolerance = -0.1}),
                std::invalid_argument);
-  EXPECT_THROW(CommTypeIdentifier({.size_tolerance = 1.0}),
+  EXPECT_THROW(CommTypeIdentifier({.segmenter = {}, .size_tolerance = 1.0}),
                std::invalid_argument);
 }
 
 TEST(CommTypeIdentifierTest, CountDistinctSizesWithTolerance) {
-  const CommTypeIdentifier id({.size_tolerance = 0.05});
+  const CommTypeIdentifier id({.segmenter = {}, .size_tolerance = 0.05});
   EXPECT_EQ(id.count_distinct_sizes({}), 0u);
   EXPECT_EQ(id.count_distinct_sizes({100}), 1u);
   EXPECT_EQ(id.count_distinct_sizes({100, 102, 104}), 1u);  // within 5%
@@ -49,7 +49,7 @@ TEST(CommTypeIdentifierTest, CountDistinctSizesWithTolerance) {
 }
 
 TEST(CommTypeIdentifierTest, ZeroToleranceCountsExact) {
-  const CommTypeIdentifier id({.size_tolerance = 0.0});
+  const CommTypeIdentifier id({.segmenter = {}, .size_tolerance = 0.0});
   EXPECT_EQ(id.count_distinct_sizes({100, 100, 101}), 2u);
 }
 

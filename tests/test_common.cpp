@@ -1,11 +1,13 @@
 // Unit tests for the common substrate: ids, time, disjoint set, stats, rng,
-// inline vector.
+// inline vector, the chunked counting scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "llmprism/common/inline_vec.hpp"
 #include "llmprism/common/rng.hpp"
 #include "llmprism/common/stats.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/common/time.hpp"
 
 namespace llmprism {
@@ -165,7 +168,7 @@ TEST(DisjointSetTest, AddAppendsSingletons) {
 
 TEST(DisjointSetTest, OutOfRangeThrows) {
   DisjointSet ds(3);
-  EXPECT_THROW(ds.find(3), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(ds.find(3)), std::out_of_range);
   EXPECT_THROW(ds.unite(0, 99), std::out_of_range);
 }
 
@@ -374,7 +377,7 @@ TEST(InlineVecTest, CapacityOverflowThrows) {
 TEST(InlineVecTest, AtBoundsChecked) {
   InlineVec<int, 4> v{1};
   EXPECT_EQ(v.at(0), 1);
-  EXPECT_THROW(v.at(1), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(v.at(1)), std::out_of_range);
 }
 
 TEST(InlineVecTest, Equality) {
@@ -391,6 +394,142 @@ TEST(InlineVecTest, ClearResets) {
   EXPECT_TRUE(v.empty());
   v.push_back(9);
   EXPECT_EQ(v.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// ChunkedScatter
+
+constexpr std::size_t kChunk = kScatterChunkRows;
+
+// Bucket of row i among 7; bucket 3 is never used, so every layout has an
+// empty bucket in the middle as well as whatever the hash leaves empty.
+std::size_t bucket_of_row(std::size_t i) {
+  const std::size_t b = (i * 2654435761u >> 7) % 6;
+  return b >= 3 ? b + 1 : b;
+}
+
+struct SerialLayout {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> rows;  ///< output position -> input row
+};
+
+// The plain serial counting scatter the primitive must reproduce.
+SerialLayout serial_layout(std::size_t n, std::size_t buckets) {
+  SerialLayout out;
+  out.offsets.assign(buckets + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) ++out.offsets[bucket_of_row(i) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) {
+    out.offsets[b + 1] += out.offsets[b];
+  }
+  std::vector<std::uint32_t> cursor(out.offsets.begin(),
+                                    out.offsets.end() - 1);
+  out.rows.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.rows[cursor[bucket_of_row(i)]++] = static_cast<std::uint32_t>(i);
+  }
+  return out;
+}
+
+TEST(ChunkedScatterTest, LayoutMatchesSerialScatterAtAnyChunking) {
+  constexpr std::size_t kBuckets = 7;
+  ThreadPool pool(3);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+        5 * kChunk + 3}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const SerialLayout expected = serial_layout(n, kBuckets);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ChunkedScatter<std::uint32_t> layout(p, n, kBuckets);
+      const std::size_t chunks =
+          p == nullptr || n <= kChunk ? 1 : (n + kChunk - 1) / kChunk;
+      ASSERT_EQ(layout.num_chunks(), chunks);
+      layout.for_each_chunk([&](std::size_t c, std::size_t begin,
+                                std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          ++layout.counts(c)[bucket_of_row(i)];
+        }
+      });
+      const std::vector<std::uint32_t> offsets = layout.prefix();
+      EXPECT_EQ(offsets, expected.offsets);
+      EXPECT_EQ(offsets[4], offsets[3]) << "bucket 3 stays empty";
+      // Two scatters from one layout: each chunk gets fresh cursors.
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<std::uint32_t> rows(n, 0xffffffffu);
+        layout.scatter([&](std::size_t, std::size_t begin, std::size_t end,
+                           std::vector<std::uint32_t>& cursor) {
+          for (std::size_t i = begin; i < end; ++i) {
+            rows[cursor[bucket_of_row(i)]++] = static_cast<std::uint32_t>(i);
+          }
+        });
+        EXPECT_EQ(rows, expected.rows);
+      }
+    }
+  }
+}
+
+// Count rows may start empty and widen to the highest bucket a chunk
+// meets; prefix() pads the narrower rows, so a bucket only the last chunk
+// names still lands after every chunk's share of the lower buckets.
+TEST(ChunkedScatterTest, RowsWidenedDuringTheCountArePadded) {
+  ThreadPool pool(2);
+  const std::size_t n = 3 * kChunk + 5;
+  // Rows of the last chunk go to bucket 9; every other row to i % 3.
+  const auto bucket = [&](std::size_t i) -> std::size_t {
+    return i >= 3 * kChunk ? 9 : i % 3;
+  };
+  std::vector<std::uint32_t> expected_rows;
+  for (std::size_t b = 0; b < 10; ++b) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (bucket(i) == b) {
+        expected_rows.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  }
+  ChunkedScatter<std::uint64_t> layout(&pool, n, 0);
+  ASSERT_EQ(layout.num_chunks(), 4u);
+  layout.for_each_chunk([&](std::size_t c, std::size_t begin,
+                            std::size_t end) {
+    std::vector<std::uint64_t>& counts = layout.counts(c);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (bucket(i) >= counts.size()) counts.resize(bucket(i) + 1, 0);
+      ++counts[bucket(i)];
+    }
+  });
+  const std::vector<std::uint64_t> offsets = layout.prefix();
+  ASSERT_EQ(layout.num_buckets(), 10u);
+  ASSERT_EQ(offsets.size(), 11u);
+  EXPECT_EQ(offsets[3], 3 * kChunk);
+  EXPECT_EQ(offsets[9], 3 * kChunk) << "buckets 3..8 are empty";
+  EXPECT_EQ(offsets[10], n);
+  std::vector<std::uint32_t> rows(n, 0xffffffffu);
+  layout.scatter([&](std::size_t, std::size_t begin, std::size_t end,
+                     std::vector<std::uint64_t>& cursor) {
+    for (std::size_t i = begin; i < end; ++i) {
+      rows[cursor[bucket(i)]++] = static_cast<std::uint32_t>(i);
+    }
+  });
+  EXPECT_EQ(rows, expected_rows);
+}
+
+TEST(ChunkedScatterTest, RowChunksCoverEveryRowOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {std::size_t{0}, kChunk + 1, 4 * kChunk}) {
+    std::vector<int> seen(n, 0);
+    std::vector<std::size_t> chunk_of(n, 0);
+    for_each_row_chunk(&pool, n, [&](std::size_t c, std::size_t begin,
+                                     std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        ++seen[i];
+        chunk_of[i] = c;
+      }
+    });
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(chunk_of[i], i / kChunk) << "row " << i;
+    }
+    EXPECT_EQ(num_row_chunks(nullptr, n), 1u);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 // Unit tests for flow records, traces and CSV I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "llmprism/common/csv.hpp"
 #include "llmprism/common/rng.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/flow/io.hpp"
 #include "llmprism/flow/trace.hpp"
 #include "llmprism/flow/view.hpp"
@@ -390,6 +393,53 @@ TEST(FlowTraceIndexTest, PairIndexGroupsBothDirections) {
   EXPECT_EQ(idx.positions(p12).size(), 2u);
   EXPECT_EQ(idx.positions(p13).size(), 1u);
   EXPECT_EQ(idx.id_of(GpuPair(GpuId(7), GpuId(8))), PairIndex::kNoPair);
+}
+
+void expect_pair_indexes_equal(const PairIndex& reference,
+                               const PairIndex& got) {
+  ASSERT_EQ(got.num_pairs(), reference.num_pairs());
+  ASSERT_EQ(got.num_flows(), reference.num_flows());
+  EXPECT_EQ(got.pairs(), reference.pairs());
+  for (std::size_t id = 0; id < reference.num_pairs(); ++id) {
+    const auto want = reference.positions(id);
+    const auto have = got.positions(id);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), have.begin(), have.end()))
+        << "pair " << id;
+    EXPECT_EQ(got.id_of(reference.pair(id)), id);
+  }
+  const auto want = reference.pair_of_flow();
+  const auto have = got.pair_of_flow();
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), have.begin(), have.end()));
+}
+
+// The chunked columnar build (pooled or not) must equal the hash-interning
+// reference build: random views spanning several row chunks, pairs that
+// repeat in both directions, and src == dst rows.
+TEST(FlowTraceIndexTest, ChunkedColumnarPairIndexMatchesReference) {
+  ThreadPool pool(3);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FlowTrace t;
+    const std::size_t n = 3 * kScatterChunkRows + 1000 * seed;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto src = static_cast<std::uint32_t>(rng.uniform_int(0, 47));
+      const auto dst = rng.bernoulli(0.05)
+                           ? src
+                           : static_cast<std::uint32_t>(rng.uniform_int(0, 47));
+      t.add(make_flow(rng.uniform_int(0, 1'000'000), src, dst));
+    }
+    const PairIndex reference(t);
+    ASSERT_GT(reference.num_pairs(), 500u);
+    ASSERT_LT(reference.num_pairs(), n / 10) << "pairs must repeat";
+    const FlowColumns columns(t);
+    expect_pair_indexes_equal(reference, PairIndex(columns.view()));
+    expect_pair_indexes_equal(reference, PairIndex(columns.view(), &pool));
+    // A slice starting mid-chunk, so chunk edges fall elsewhere.
+    const FlowView slice = columns.view().slice(777, n - 5);
+    const PairIndex slice_reference(materialize(slice));
+    expect_pair_indexes_equal(slice_reference, PairIndex(slice, &pool));
+  }
 }
 
 TEST(FlowTraceIndexTest, PairIndexFirstAppearanceOrderAndPositions) {

@@ -28,9 +28,12 @@ ClusterSimResult simulate(std::uint32_t steps = 20,
 
 TEST(OnlineMonitorTest, RejectsBadConfig) {
   const auto sim = simulate(2);
-  EXPECT_THROW(OnlineMonitor(sim.topology, {.window = 0}),
+  EXPECT_THROW(OnlineMonitor(sim.topology,
+                             {.prism = {}, .window = 0, .session = {}}),
                std::invalid_argument);
-  EXPECT_THROW(OnlineMonitor(sim.topology, {.reorder_slack = -1}),
+  EXPECT_THROW(OnlineMonitor(sim.topology, {.prism = {},
+                                             .reorder_slack = -1,
+                                             .session = {}}),
                std::invalid_argument);
 }
 

@@ -103,6 +103,28 @@ ClusterSimConfig huge_job_mix() {
   return cfg;
 }
 
+// One job whose routed flows span at least six row chunks
+// (kScatterChunkRows each), so every chunked per-flow pass — routing, the
+// PairIndex build, the timeline event gather, the DP gather, the switch
+// stage and attribution's switch sets — runs several chunks on the pool,
+// also in each of the two windows of the session-carry comparison.
+ClusterSimConfig multi_chunk_job_mix() {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 16, .gpus_per_machine = 8,
+                  .machines_per_leaf = 4, .num_spines = 2};
+  auto j = job(8, 4, 4, 24);
+  j.stragglers.push_back(
+      {.rank = 9, .step_begin = 10, .step_end = 11, .slowdown = 2.5});
+  j.slow_dp_groups.push_back({.tp_idx = 3, .pp_idx = 2, .step_begin = 16,
+                              .step_end = 17, .slowdown = 3.0});
+  cfg.jobs.push_back({j, {}});
+  cfg.noise = collection_noise();
+  cfg.switch_faults.push_back(
+      {SwitchId(2), TimeWindow{0, 600 * kSecond}, 0.3});
+  cfg.seed = 15;
+  return cfg;
+}
+
 ClusterSimConfig eight_job_mix() {
   ClusterSimConfig cfg;
   cfg.topology = {.num_machines = 16, .gpus_per_machine = 8,
@@ -400,6 +422,10 @@ const MixData& huge_job() {
   static const MixData mix = make_mix(huge_job_mix());
   return mix;
 }
+const MixData& multi_chunk_job() {
+  static const MixData mix = make_mix(multi_chunk_job_mix());
+  return mix;
+}
 const MixData& congested_three_jobs() {
   static const MixData mix = make_mix(three_job_mix(), congested_config);
   return mix;
@@ -432,6 +458,47 @@ TEST_P(ParallelEquivalenceTest, HugeSingleJobMix) {
   expect_reports_equal(mix.baseline, prism.analyze(mix.sim.trace));
 }
 
+TEST_P(ParallelEquivalenceTest, MultiChunkSingleJobMix) {
+  const MixData& mix = multi_chunk_job();
+  const Prism prism(mix.sim.topology, prism_config(GetParam()));
+  expect_reports_equal(mix.baseline, prism.analyze(mix.sim.trace));
+}
+
+// Window length that cuts the multi-chunk job's trace into two windows.
+DurationNs multi_chunk_window() {
+  const TimeWindow span = multi_chunk_job().sim.trace.span();
+  return (span.end - span.begin) / 2 + kSecond;
+}
+
+std::vector<MonitorTick> monitor_ticks(const MixData& mix,
+                                       MonitorConfig config) {
+  OnlineMonitor monitor(mix.sim.topology, config);
+  std::vector<MonitorTick> ticks = monitor.ingest(mix.sim.trace);
+  if (auto last = monitor.flush()) ticks.push_back(std::move(*last));
+  return ticks;
+}
+
+// The same job through the session path: the second window takes the
+// first one's carried tails, comm-type priors and EWMA baselines.
+TEST_P(ParallelEquivalenceTest, MultiChunkSingleJobWithSessionCarry) {
+  const MixData& mix = multi_chunk_job();
+  MonitorConfig seq_cfg;
+  seq_cfg.window = multi_chunk_window();
+  seq_cfg.prism.num_threads = 1;
+  ASSERT_TRUE(seq_cfg.carry_state);
+  MonitorConfig par_cfg = seq_cfg;
+  par_cfg.prism.num_threads = GetParam();
+  const std::vector<MonitorTick> expected = monitor_ticks(mix, seq_cfg);
+  const std::vector<MonitorTick> got = monitor_ticks(mix, par_cfg);
+  ASSERT_EQ(expected.size(), 2u);
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("tick " + std::to_string(i));
+    EXPECT_EQ(got[i].job_ids, expected[i].job_ids);
+    expect_reports_equal(expected[i].report, got[i].report);
+  }
+}
+
 TEST_P(ParallelEquivalenceTest, CongestedSwitchMix) {
   const MixData& mix = congested_three_jobs();
   const Prism prism(mix.sim.topology, congested_config(GetParam()));
@@ -451,6 +518,27 @@ TEST(ParallelEquivalenceCoverageTest, HugeJobIsOneJobWithFindings) {
       << "the per-GPU fan-out needs real width";
   EXPECT_GT(j.step_alerts.size() + j.group_alerts.size(), 0u);
   EXPECT_GT(mix.baseline.telemetry.bocd_observations, 0u);
+}
+
+// The multi-chunk comparisons must really cross chunk boundaries: one job
+// of at least three chunks, cold and in each carried window, with findings.
+TEST(ParallelEquivalenceCoverageTest, MultiChunkJobSpansThreeChunks) {
+  const MixData& mix = multi_chunk_job();
+  ASSERT_EQ(mix.baseline.jobs.size(), 1u);
+  EXPECT_GE(mix.baseline.jobs.front().trace.size(), 6 * kScatterChunkRows);
+  EXPECT_GT(mix.baseline.jobs.front().step_alerts.size() +
+                mix.baseline.jobs.front().group_alerts.size(),
+            0u);
+  EXPECT_FALSE(mix.baseline.attribution.incidents.empty());
+  MonitorConfig config;
+  config.window = multi_chunk_window();
+  config.prism.num_threads = 1;
+  const std::vector<MonitorTick> ticks = monitor_ticks(mix, config);
+  ASSERT_EQ(ticks.size(), 2u);
+  for (const MonitorTick& tick : ticks) {
+    ASSERT_EQ(tick.report.jobs.size(), 1u);
+    EXPECT_GE(tick.report.jobs.front().trace.size(), 3 * kScatterChunkRows);
+  }
 }
 
 // The eight-job mix actually produces the alerts whose ordering the

@@ -61,15 +61,15 @@ TEST(RankMapTest, TpPpDpOrder) {
 
 TEST(RankMapTest, OutOfRangeThrows) {
   const RankMap rm(par(2, 2, 2));
-  EXPECT_THROW(rm.coord_of(RankId(8)), std::out_of_range);
-  EXPECT_THROW(rm.rank_of({2, 0, 0}), std::out_of_range);
-  EXPECT_THROW(rm.coord_of(RankId()), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(rm.coord_of(RankId(8))), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(rm.rank_of({2, 0, 0})), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(rm.coord_of(RankId())), std::out_of_range);
 }
 
 TEST(RankMapTest, GroupsPartitionTheWorld) {
   const RankMap rm(par(2, 4, 3));
   // Every rank appears in exactly one DP group and one PP group.
-  for (const auto groups : {rm.all_dp_groups(), rm.all_pp_groups()}) {
+  for (const auto& groups : {rm.all_dp_groups(), rm.all_pp_groups()}) {
     std::set<RankId> seen;
     for (const auto& g : groups) {
       for (const RankId r : g) {

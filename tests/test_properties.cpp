@@ -198,7 +198,9 @@ TEST(TimelineWellFormedTest, StepsAreMonotoneAndContiguous) {
         EXPECT_LT(step.begin, step.end);
         EXPECT_LE(step.dp_begin, step.dp_end);
         EXPECT_EQ(step.end, step.dp_end);
-        if (s > 0) EXPECT_EQ(step.begin, t.steps[s - 1].end);
+        if (s > 0) {
+          EXPECT_EQ(step.begin, t.steps[s - 1].end);
+        }
       }
       // events are chronological by start
       for (std::size_t e = 1; e < t.events.size(); ++e) {

@@ -99,7 +99,9 @@ TEST(WriteTimelineJsonTest, EveryLineParsesAsJsonAndHeaderIsVersioned) {
   while (std::getline(lines, line)) {
     EXPECT_TRUE(testing::is_valid_json(line))
         << testing::JsonLinter(line).error() << "\n" << line;
-    if (parsed == 0) EXPECT_TRUE(testing::is_versioned_json(line)) << line;
+    if (parsed == 0) {
+      EXPECT_TRUE(testing::is_versioned_json(line)) << line;
+    }
     ++parsed;
   }
   EXPECT_EQ(parsed, t.events.size() + 1);
@@ -181,7 +183,11 @@ TEST(WriteReportJsonTest, SerializesIncidents) {
   incident.step_end = 8;
   incident.confidence = 0.875;
   incident.culprits.push_back(
-      {.kind = CulpritKind::kRank, .gpu = GpuId(11), .score = 1.5});
+      {.kind = CulpritKind::kRank,
+       .gpu = GpuId(11),
+       .dp_group_index = 0,
+       .switch_id = SwitchId{},
+       .score = 1.5});
   incident.victims.push_back({.kind = VictimKind::kStepAlert,
                               .job = JobId(0),
                               .gpu = GpuId(40),
@@ -192,7 +198,11 @@ TEST(WriteReportJsonTest, SerializesIncidents) {
 
   AttributedIncident cluster;  // switch incidents carry no job id
   cluster.culprits.push_back(
-      {.kind = CulpritKind::kSwitch, .switch_id = SwitchId(3), .score = 0.7});
+      {.kind = CulpritKind::kSwitch,
+       .gpu = GpuId{},
+       .dp_group_index = 0,
+       .switch_id = SwitchId(3),
+       .score = 0.7});
   cluster.evidence.switch_bandwidth_alerts = 1;
   report.attribution.incidents.push_back(std::move(cluster));
 
@@ -224,7 +234,11 @@ TEST(RenderSummaryTest, IncludesIncidentBlock) {
   incident.step_end = 9;
   incident.confidence = 0.9;
   incident.culprits.push_back(
-      {.kind = CulpritKind::kRank, .gpu = GpuId(11), .score = 1.5});
+      {.kind = CulpritKind::kRank,
+       .gpu = GpuId(11),
+       .dp_group_index = 0,
+       .switch_id = SwitchId{},
+       .score = 1.5});
   report.attribution.incidents.push_back(std::move(incident));
   report.telemetry.incidents = 1;
   report.telemetry.alerts_explained = 8;

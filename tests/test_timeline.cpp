@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "llmprism/baseline/eval.hpp"
+#include "llmprism/common/thread_pool.hpp"
 #include "llmprism/core/comm_type.hpp"
 #include "llmprism/simulator/cluster_sim.hpp"
 
@@ -226,6 +231,96 @@ TEST(TimelineLimitationTest, IntraMachineDpIsInvisible) {
       TimelineReconstructor{}.reconstruct_all(sim.trace, comm.types());
   for (const auto& t : timelines) {
     EXPECT_TRUE(t.steps.empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked event gather: a job spanning several row chunks must get the same
+// timelines from the pool as from the one-chunk serial gather, cold and
+// with a carried tail across two windows.
+
+void expect_same_timelines(const std::vector<GpuTimeline>& a,
+                           const std::vector<GpuTimeline>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    SCOPED_TRACE("timeline " + std::to_string(t));
+    EXPECT_EQ(a[t].gpu, b[t].gpu);
+    ASSERT_EQ(a[t].events.size(), b[t].events.size());
+    for (std::size_t e = 0; e < a[t].events.size(); ++e) {
+      ASSERT_EQ(a[t].events[e].kind, b[t].events[e].kind) << "event " << e;
+      ASSERT_EQ(a[t].events[e].start, b[t].events[e].start) << "event " << e;
+      ASSERT_EQ(a[t].events[e].end, b[t].events[e].end) << "event " << e;
+      ASSERT_EQ(a[t].events[e].peer, b[t].events[e].peer) << "event " << e;
+    }
+    ASSERT_EQ(a[t].steps.size(), b[t].steps.size());
+    for (std::size_t k = 0; k < a[t].steps.size(); ++k) {
+      EXPECT_EQ(a[t].steps[k].index, b[t].steps[k].index);
+      EXPECT_EQ(a[t].steps[k].begin, b[t].steps[k].begin);
+      EXPECT_EQ(a[t].steps[k].end, b[t].steps[k].end);
+      EXPECT_EQ(a[t].steps[k].dp_begin, b[t].steps[k].dp_begin);
+      EXPECT_EQ(a[t].steps[k].dp_end, b[t].steps[k].dp_end);
+    }
+  }
+}
+
+TEST(TimelineReconstructorTest, ChunkedGatherMatchesSerialGather) {
+  ClusterSimConfig cfg;
+  cfg.topology = {.num_machines = 16, .gpus_per_machine = 8,
+                  .machines_per_leaf = 4, .num_spines = 2};
+  JobSimConfig job;
+  job.parallelism = {.tp = 8, .dp = 4, .pp = 4, .micro_batches = 4};
+  job.num_steps = 12;
+  cfg.jobs.push_back({job, {}});
+  auto sim = run_cluster_sim(cfg);
+  sim.trace.sort();
+  const FlowColumns columns(sim.trace);
+  const FlowView view = columns.view();
+  ASSERT_GT(view.size(), 3 * kScatterChunkRows);
+  std::vector<CommType> types;
+  const PairIndex index(view);
+  (void)CommTypeIdentifier{}.identify(view, index, &types);
+
+  const TimelineReconstructor reconstructor;
+  ThreadPool pool(3);
+  SegmenterStats serial_stats;
+  SegmenterStats pooled_stats;
+  const auto serial =
+      reconstructor.reconstruct_all(view, types, &serial_stats, {}, nullptr);
+  const auto pooled =
+      reconstructor.reconstruct_all(view, types, &pooled_stats, {}, &pool);
+  ASSERT_GE(serial.size(), 100u);
+  expect_same_timelines(serial, pooled);
+  EXPECT_EQ(serial_stats.observations, pooled_stats.observations);
+  EXPECT_EQ(serial_stats.boundaries, pooled_stats.boundaries);
+
+  // Two windows with carry: the first holds its trailing burst back, the
+  // second (the flush) takes it in.
+  const TimeNs mid = view.start_ns[view.size() / 2];
+  const std::size_t cut = view.lower_bound_start(mid);
+  const TimeNs end = view.time_span().end;
+  TimelineCarry serial_carry;
+  TimelineCarry pooled_carry;
+  for (const bool first : {true, false}) {
+    SCOPED_TRACE(first ? "window 1" : "window 2");
+    const std::size_t lo = first ? 0 : cut;
+    const std::size_t hi = first ? cut : view.size();
+    const FlowView window = view.slice(lo, hi);
+    const std::span<const CommType> window_types =
+        std::span<const CommType>(types).subspan(lo, hi - lo);
+    TimelineCarryContext ctx{.carry = &serial_carry,
+                             .window_end = first ? mid : end,
+                             .hold_tail = first,
+                             .boundary_hold = 50 * kMillisecond};
+    const auto a =
+        reconstructor.reconstruct_all(window, window_types, nullptr, ctx);
+    ctx.carry = &pooled_carry;
+    const auto b = reconstructor.reconstruct_all(window, window_types,
+                                                 nullptr, ctx, &pool);
+    expect_same_timelines(a, b);
+    EXPECT_EQ(serial_carry.steps_held, pooled_carry.steps_held);
+    EXPECT_EQ(serial_carry.steps_carried_in, pooled_carry.steps_carried_in);
+    EXPECT_GT(first ? serial_carry.steps_held : serial_carry.steps_carried_in,
+              0u);
   }
 }
 

@@ -36,8 +36,8 @@ TEST(TopologyTest, MachineOfGpu) {
   EXPECT_EQ(t.machine_of(GpuId(7)), MachineId(0));
   EXPECT_EQ(t.machine_of(GpuId(8)), MachineId(1));
   EXPECT_EQ(t.machine_of(GpuId(63)), MachineId(7));
-  EXPECT_THROW(t.machine_of(GpuId(64)), std::out_of_range);
-  EXPECT_THROW(t.machine_of(GpuId()), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(t.machine_of(GpuId(64))), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(t.machine_of(GpuId())), std::out_of_range);
 }
 
 TEST(TopologyTest, GpusOnMachine) {
@@ -106,7 +106,8 @@ TEST(TopologyTest, EcmpSpreadsAcrossSpines) {
 
 TEST(TopologyTest, RouteValidatesGpuIds) {
   const auto t = topo();
-  EXPECT_THROW(t.route(GpuId(0), GpuId(999)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(t.route(GpuId(0), GpuId(999))),
+               std::out_of_range);
 }
 
 TEST(TopologyTest, SingleLeafClusterNeverUsesSpines) {

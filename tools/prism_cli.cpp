@@ -512,8 +512,10 @@ int run_convert(int argc, const char* const* argv, int begin) {
       const DurationNs chunk_ns = from_seconds(*chunk_seconds);
       std::size_t chunks = 0;
       std::size_t rows = 0;
-      for (TimeNs begin = span.begin; begin < span.end; begin += chunk_ns) {
-        const FlowTrace slice = trace->window({begin, begin + chunk_ns});
+      for (TimeNs chunk_begin = span.begin; chunk_begin < span.end;
+           chunk_begin += chunk_ns) {
+        const FlowTrace slice =
+            trace->window({chunk_begin, chunk_begin + chunk_ns});
         if (slice.empty()) continue;
         write_one(chunk_path(out_path, chunks), slice);
         ++chunks;
